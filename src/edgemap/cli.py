@@ -3,8 +3,8 @@
 Exit codes (stable):
     0  success / no deviations
     1  diff found deviations
-    2  trusted baseline already exists (and argparse usage errors)
-    3  transport failure
+    2  trusted baseline already exists, or a usage/config error
+    3  transport or local I/O failure
     4  monitor started without a trusted baseline
     5  fingerprints incomparable or unreadable
     6  malformed simulation scenario
@@ -19,11 +19,12 @@ import sys
 import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 from . import scenario as scenario_mod
 from .diffing import classify_scenario, diff
-from .errors import (CorruptRecord, IncomparableFingerprints, MalformedScript,
-                     NotFound, TransportDown, TrustedAlreadyExists)
+from .errors import (CapabilityUnsupported, CorruptRecord, IncomparableFingerprints,
+                     MalformedScript, NotFound, TransportDown, TrustedAlreadyExists)
 from .model import AddressRange, ScanConfig, config_digest
 from .osnet import OsNetwork
 from .probe import full_sweep
@@ -38,10 +39,27 @@ from .transport import DISCOVERY_CLASSES, PACKET_CLASSES, TCP_CLASSES
 EXIT_OK = 0
 EXIT_EVENTS = 1
 EXIT_TRUSTED_EXISTS = 2
+EXIT_USAGE = 2  # bad flags/config values: the code argparse uses for usage errors
 EXIT_TRANSPORT = 3
 EXIT_NO_BASELINE = 4
 EXIT_INCOMPARABLE = 5
 EXIT_BAD_SCRIPT = 6
+
+# Every failure that leaves a command, mapped to its exit code.  First match
+# wins.  An unreadable scenario is converted to MalformedScript where it is
+# read, and an unreadable fingerprint file to CorruptRecord, so OSError here
+# means the transport or the local state (state dir, --out, config file).
+EXIT_CODES = (
+    (TrustedAlreadyExists, EXIT_TRUSTED_EXISTS),
+    (NotFound, EXIT_NO_BASELINE),
+    (CorruptRecord, EXIT_INCOMPARABLE),
+    (IncomparableFingerprints, EXIT_INCOMPARABLE),
+    (MalformedScript, EXIT_BAD_SCRIPT),
+    (TransportDown, EXIT_TRANSPORT),
+    (OSError, EXIT_TRANSPORT),
+    (CapabilityUnsupported, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
 
 LOGGER_ENV = "EDGEMAP_LOGGER"
 
@@ -143,33 +161,28 @@ def build_sink(args, stream=None) -> EventSink:
                                 node_id=getattr(args, "node_id", "edgemap")))
 
 
-def _summary(result) -> str:
-    fp = result.fingerprint
+def _sweep(args, config):
+    """One sweep on a fresh transport; returns it with the fingerprint."""
+    transport = build_transport(args, config)
+    schedule = make_schedule(config, Prng(config.seed))
+    return transport, full_sweep(config, transport, schedule)
+
+
+def _summary(fp, transport) -> str:
+    # the transport is fresh, so its totals are this sweep's
     return (f"hosts={len(fp.hosts)} open_ports={fp.open_port_count()} "
-            f"duration={format_duration(result.elapsed)} packets={result.packets_sent}")
+            f"duration={format_duration(fp.finished_at - fp.started_at)} "
+            f"packets={transport.counters.total_packets()}")
 
 
 def cmd_baseline(args, out) -> int:
     config = build_config(args)
     store = FingerprintStore(args.state_dir)
-    digest = config_digest(config)
-    if store.has_trusted(digest):
-        print("error: trusted baseline already exists (use rebaseline --force)",
-              file=sys.stderr)
-        return EXIT_TRUSTED_EXISTS
-    try:
-        transport = build_transport(args, config)
-        schedule = make_schedule(config, Prng(config.seed))
-        result = full_sweep(config, transport, schedule)
-    except MalformedScript as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
-    except (TransportDown, OSError) as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    trusted = replace(result.fingerprint, trusted=True)
-    store.save_trusted(trusted)
-    print(f"baseline {_summary(result)}", file=out)
+    if store.has_trusted(config_digest(config)):
+        raise TrustedAlreadyExists("trusted baseline already exists (use rebaseline --force)")
+    transport, fp = _sweep(args, config)
+    store.save_trusted(replace(fp, trusted=True))
+    print(f"baseline {_summary(fp, transport)}", file=out)
     return EXIT_OK
 
 
@@ -186,24 +199,13 @@ def cmd_rebaseline(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
-    config = build_config(args)
-    try:
-        transport = build_transport(args, config)
-        schedule = make_schedule(config, Prng(config.seed))
-        result = full_sweep(config, transport, schedule)
-    except MalformedScript as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
-    except (TransportDown, OSError) as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    fp = result.fingerprint
+    transport, fp = _sweep(args, build_config(args))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
         open_ports = ",".join(str(p) for p in sorted(rec.ports)
                               if rec.ports[p].value == "open")
         print(f"host {addr} {rec.alive.value} open=[{open_ports}]", file=out)
-    print(f"scan {_summary(result)}", file=out)
+    print(f"scan {_summary(fp, transport)}", file=out)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(dumps_fingerprint(fp))
@@ -214,14 +216,8 @@ def cmd_monitor(args, out) -> int:
     config = build_config(args)
     store = FingerprintStore(args.state_dir)
     if not store.has_trusted(config_digest(config)):
-        print("error: no trusted baseline for this config (run baseline first)",
-              file=sys.stderr)
-        return EXIT_NO_BASELINE
-    try:
-        transport = build_transport(args, config)
-    except MalformedScript as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
+        raise NotFound("no trusted baseline for this config (run baseline first)")
+    transport = build_transport(args, config)
     sink = build_sink(args)
     stop = threading.Event()
     previous = {}
@@ -239,19 +235,15 @@ def cmd_monitor(args, out) -> int:
 def cmd_diff(args, out) -> int:
     config = build_config(args) if (args.config or args.range) else None
     try:
-        base = loads_fingerprint(open(args.fileA, "rb").read())
-        cur = loads_fingerprint(open(args.fileB, "rb").read())
-    except (OSError, CorruptRecord) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPARABLE
+        # one file's bytes at a time, each dropped once parsed
+        base, cur = (loads_fingerprint(Path(path).read_bytes())
+                     for path in (args.fileA, args.fileB))
+    except OSError as exc:
+        raise CorruptRecord(f"cannot read fingerprint: {exc}") from exc
     if config is None:
         # thresholds only; the range is irrelevant for a file-to-file diff
         config = ScanConfig(address_range=AddressRange.parse("0.0.0.0-255.255.255.255"))
-    try:
-        events = diff(replace(base, trusted=True), cur, config)
-    except IncomparableFingerprints as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPARABLE
+    events = diff(replace(base, trusted=True), cur, config)
     for event in events:
         if args.format == "lines":
             print(format_intrusion("diff", 0, 0, event), file=out)
@@ -285,11 +277,7 @@ def cmd_simulate(args, out) -> int:
     if not args.backend or not args.backend.startswith("sim:"):
         args.backend = f"sim:{args.scenario}"
     config = build_config(args)
-    try:
-        transport = build_transport(args, config)
-    except (MalformedScript, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
+    transport = build_transport(args, config)
     if args.state_dir:
         store = FingerprintStore(args.state_dir)
     else:
@@ -375,19 +363,9 @@ def main(argv=None, out=None) -> int:
         out = sys.stdout
     try:
         return args.func(args, out)
-    except TrustedAlreadyExists as exc:
+    except tuple(exc_type for exc_type, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUSTED_EXISTS
-    except MalformedScript as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCRIPT
-    except (TransportDown, ConnectionError) as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except ValueError as exc:
-        # bad flags/config values: same code argparse uses for usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for exc_type, code in EXIT_CODES if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

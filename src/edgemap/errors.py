@@ -21,10 +21,6 @@ class MalformedResponse(EdgemapError):
     """A protocol reply had valid framing but corrupt content."""
 
 
-class EmptySamples(EdgemapError):
-    """Statistics requested over an empty sample list."""
-
-
 class IncomparableFingerprints(EdgemapError):
     """Two fingerprints were taken under incompatible scan configs."""
 

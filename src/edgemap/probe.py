@@ -11,14 +11,12 @@ bounds TCP traffic to the documented packets-per-second envelope.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import modbus
-from .errors import EmptySamples, TransportDown
-from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, PortState,
-                    ScanConfig, config_digest)
+from .errors import TransportDown
+from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, ScanConfig,
+                    config_digest)
 from .transport import PortProbe, ProbeTransport
 
 StopFn = Optional[Callable[[], bool]]
@@ -28,21 +26,6 @@ RTT_SAMPLE_COUNT = 3  # median of three tolerates one outlier cheaply
 
 class SweepAborted(Exception):
     """Raised internally when a stop request interrupts a sweep."""
-
-
-@dataclass(frozen=True)
-class HostScanOutcome:
-    record: HostRecord
-    packets_sent: int
-    elapsed: int
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    fingerprint: NetworkFingerprint
-    packets_sent: int
-    elapsed: int
-    counters: object  # PacketCounters snapshot
 
 
 def _check_stop(stop: StopFn) -> None:
@@ -70,37 +53,33 @@ def discover_host(target: IPv4, config: ScanConfig,
     it, ICMP alone decides between Up and Down.  Up hosts contribute
     RTT_SAMPLE_COUNT echo samples spaced by the ping delay.
     """
-    probes = 0
     samples = []
     if transport.supports_arp:
         _check_stop(stop)
         arp = _windowed(transport,
                         lambda: transport.arp_probe(target, config.ping_timeout),
                         config.ping_timeout, config.ping_delay)
-        probes += 1
         if not arp.replied:
-            return Alive.DOWN, (), probes
+            return Alive.DOWN, ()
     _check_stop(stop)
     first = _windowed(transport,
                       lambda: transport.icmp_ping(target, config.ping_timeout),
                       config.ping_timeout, config.ping_delay)
-    probes += 1
     if not first.replied:
         if transport.supports_arp:
-            return Alive.SILENT_UP, (), probes
-        return Alive.DOWN, (), probes
+            return Alive.SILENT_UP, ()
+        return Alive.DOWN, ()
     samples.append(first.rtt)
     while len(samples) < RTT_SAMPLE_COUNT:
         _check_stop(stop)
         ping = _windowed(transport,
                          lambda: transport.icmp_ping(target, config.ping_timeout),
                          config.ping_timeout, config.ping_delay)
-        probes += 1
         if ping.replied:
             samples.append(ping.rtt)
         else:
             break
-    return Alive.UP, tuple(samples), probes
+    return Alive.UP, tuple(samples)
 
 
 def _probe_port(transport: ProbeTransport, target: IPv4, port: int,
@@ -118,20 +97,18 @@ def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
     clock = transport.clock
     ports = {}
     banners = {}
-    probes = 0
     for port in order:
         _check_stop(stop)
         result = _probe_port(transport, target, port, config)
-        probes += 1
         ports[port] = result.state
         if result.banner:
             banners[port] = result.banner
         clock.sleep(config.port_delay)
-    return ports, banners, probes
+    return ports, banners
 
 
 def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
-               stop: StopFn = None) -> SweepResult:
+               stop: StopFn = None) -> NetworkFingerprint:
     """One complete pass over the address range in schedule order.
 
     A host that fails mid-scan is treated as Down and the sweep carries
@@ -139,11 +116,10 @@ def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
     """
     clock = transport.clock
     started = clock.now()
-    packets_before = transport.counters.total_packets()
     hosts = {}
     for addr in schedule.host_order:
         try:
-            alive, samples, _ = discover_host(addr, config, transport, stop)
+            alive, samples = discover_host(addr, config, transport, stop)
         except TransportDown:
             continue
         if alive is Alive.DOWN:
@@ -152,41 +128,15 @@ def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
         eligible = alive is Alive.UP or (alive is Alive.SILENT_UP and config.scan_silent_hosts)
         if eligible:
             try:
-                ports, banners, _ = scan_host_ports(addr, config, transport,
-                                                    schedule.port_order(addr), stop)
+                ports, banners = scan_host_ports(addr, config, transport,
+                                                 schedule.port_order(addr), stop)
             except TransportDown:
                 continue
         hosts[addr] = HostRecord(address=addr, alive=alive, rtt_samples=samples,
                                  ports=ports, banners=banners)
-    finished = clock.now()
-    fingerprint = NetworkFingerprint(
-        started_at=started, finished_at=finished,
+    return NetworkFingerprint(
+        started_at=started, finished_at=clock.now(),
         config_digest=config_digest(config), hosts=hosts, trusted=False)
-    return SweepResult(
-        fingerprint=fingerprint,
-        packets_sent=transport.counters.total_packets() - packets_before,
-        elapsed=finished - started,
-        counters=transport.counters.snapshot())
-
-
-def as_trusted(result: SweepResult) -> NetworkFingerprint:
-    return replace(result.fingerprint, trusted=True)
-
-
-@dataclass(frozen=True)
-class RttStats:
-    median: int
-    mean: float
-    max: int
-
-
-def rtt_stats(samples) -> RttStats:
-    """Median (lower-middle for even counts), arithmetic mean, and max."""
-    if not samples:
-        raise EmptySamples("no RTT samples")
-    return RttStats(median=statistics.median_low(samples),
-                    mean=statistics.fmean(samples),
-                    max=max(samples))
 
 
 def modbus_identify(target: IPv4, transport: ProbeTransport,

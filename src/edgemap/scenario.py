@@ -174,5 +174,9 @@ def loads(text: str) -> Scenario:
 
 
 def load(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedScript(f"cannot read scenario {path}: {exc}") from exc
+    return loads(text)

@@ -93,10 +93,10 @@ def run_monitor(config: ScanConfig, transport, store, sink,
 
     if trusted is None:
         try:
-            result = full_sweep(config, transport, schedule, stop)
+            fp = full_sweep(config, transport, schedule, stop)
         except SweepAborted:
             return MonitorResult(0, all_events)
-        trusted = replace(result.fingerprint, trusted=True)
+        trusted = replace(fp, trusted=True)
         store.save_trusted(trusted)
         sink.emit_operational(
             OperationalEvent(
@@ -111,7 +111,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             break
         schedule = make_schedule(config, rng, epoch=epoch)
         try:
-            result = full_sweep(config, transport, schedule, stop)
+            fp = full_sweep(config, transport, schedule, stop)
         except SweepAborted:
             break
         except Exception as exc:
@@ -121,12 +121,12 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             epoch += 1
             epochs_run += 1
             continue
-        events = diff(trusted, result.fingerprint, config, epoch=epoch)
+        events = diff(trusted, fp, config, epoch=epoch)
         for event in events:
             sink.emit_intrusion(event, ts=clock.now())
         sink.end_epoch(events, epoch, ts=clock.now())
         try:
-            store.save_epoch(result.fingerprint, epoch)
+            store.save_epoch(fp, epoch)
         except OSError as exc:
             sink.emit_operational(
                 OperationalEvent(f"store write failed: {exc}", Severity.WARNING),

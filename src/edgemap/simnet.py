@@ -25,6 +25,10 @@ from .rng import Prng
 from .timebase import VirtualClock
 from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
 
+# Looked up once: reading an Enum member off its class costs ~0.2 us in
+# CPython 3.11, as much as a third of a closed-port probe.
+_OPEN, _CLOSED, _FILTERED = PortState.OPEN, PortState.CLOSED, PortState.FILTERED
+
 
 @dataclass(frozen=True)
 class SimHostSpec:
@@ -218,101 +222,93 @@ class SimNetwork(ProbeTransport):
             return None
         return host
 
-    def arp_probe(self, target: IPv4, timeout: int) -> ProbeReply:
+    def _echo(self, request: str, reply: str, host: Optional[_HostState],
+              timeout: int) -> ProbeReply:
+        """One request/reply exchange with a host that answers, or with nobody."""
         t0 = self._clock.now()
-        self._counters.record("arp_request", t0)
-        host = self._reachable(target)
+        self._counters.record(request, t0)
         if host is not None:
             rtt = self._rtt(host)
             if rtt <= timeout:
-                self._counters.record("arp_reply", t0 + rtt)
+                self._counters.record(reply, t0 + rtt)
                 self._clock.advance_to(t0 + rtt)
                 return ProbeReply(True, rtt)
         self._clock.advance_to(t0 + timeout)
         return ProbeReply(False)
+
+    def arp_probe(self, target: IPv4, timeout: int) -> ProbeReply:
+        return self._echo("arp_request", "arp_reply", self._reachable(target), timeout)
 
     def icmp_ping(self, target: IPv4, timeout: int) -> ProbeReply:
-        t0 = self._clock.now()
-        self._counters.record("icmp_request", t0)
         host = self._reachable(target)
-        if host is not None and host.icmp_echo_enabled:
-            rtt = self._rtt(host)
-            if rtt <= timeout:
-                self._counters.record("icmp_reply", t0 + rtt)
-                self._clock.advance_to(t0 + rtt)
-                return ProbeReply(True, rtt)
-        self._clock.advance_to(t0 + timeout)
-        return ProbeReply(False)
+        if host is not None and not host.icmp_echo_enabled:
+            host = None
+        return self._echo("icmp_request", "icmp_reply", host, timeout)
 
-    def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
+    def _syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
+        """Send a SYN and settle every outcome but an open port.
+
+        A filtered or closed port comes back as a finished probe with the
+        clock already past it.  An open port comes back with its SYN+ACK
+        recorded and the clock still at the send time, so the caller
+        finishes the exchange.
+        """
         t0 = self._clock.now()
         self._counters.record("tcp_syn", t0)
         host = self._reachable(target)
-        if host is None or port in host.filtered_ports:
-            self._clock.advance_to(t0 + timeout)
-            return PortProbe(PortState.FILTERED)
-        rtt = self._rtt(host)
-        if rtt > timeout:
-            self._clock.advance_to(t0 + timeout)
-            return PortProbe(PortState.FILTERED)
-        if port in host.open_ports:
-            self._counters.record("tcp_synack", t0 + rtt)
-            self._counters.record("tcp_rst", t0 + rtt)  # scanner tears down half-open
-            self._clock.advance_to(t0 + rtt)
-            return PortProbe(PortState.OPEN, rtt=rtt)
-        self._counters.record("tcp_rst", t0 + rtt)  # target refuses
-        self._clock.advance_to(t0 + rtt)
-        return PortProbe(PortState.CLOSED, rtt=rtt)
+        if host is not None and port not in host.filtered_ports:
+            rtt = self._rtt(host)
+            if rtt <= timeout:
+                if port in host.open_ports:
+                    self._counters.record("tcp_synack", t0 + rtt)
+                    return PortProbe(_OPEN, rtt=rtt)
+                self._counters.record("tcp_rst", t0 + rtt)  # target refuses
+                self._clock.advance_to(t0 + rtt)
+                return PortProbe(_CLOSED, rtt=rtt)
+        self._clock.advance_to(t0 + timeout)
+        return PortProbe(_FILTERED)
+
+    def _reset(self, when: int) -> None:
+        self._counters.record("tcp_rst", when)
+        self._clock.advance_to(when)
+
+    def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
+        probe = self._syn(target, port, timeout)
+        if probe.state is _OPEN:
+            self._reset(self._clock.now() + probe.rtt)  # scanner tears down half-open
+        return probe
 
     def tcp_connect(self, target: IPv4, port: int, timeout: int,
                     banner_grab: bool = True, banner_max: int = 128) -> PortProbe:
-        t0 = self._clock.now()
-        self._counters.record("tcp_syn", t0)
-        host = self._reachable(target)
-        if host is None or port in host.filtered_ports:
-            self._clock.advance_to(t0 + timeout)
-            return PortProbe(PortState.FILTERED)
-        rtt = self._rtt(host)
-        if rtt > timeout:
-            self._clock.advance_to(t0 + timeout)
-            return PortProbe(PortState.FILTERED)
-        if port not in host.open_ports:
-            self._counters.record("tcp_rst", t0 + rtt)
-            self._clock.advance_to(t0 + rtt)
-            return PortProbe(PortState.CLOSED, rtt=rtt)
-        self._counters.record("tcp_synack", t0 + rtt)
+        probe = self._syn(target, port, timeout)
+        if probe.state is not _OPEN:
+            return probe
+        t0, rtt = self._clock.now(), probe.rtt
         self._counters.record("tcp_ack", t0 + rtt)
-        banner = host.open_ports[port]
+        banner = self._hosts[target].open_ports[port]
         if banner_grab and banner:
             # service pushes its banner one round trip after the handshake
             self._counters.record("banner_data", t0 + 2 * rtt, len(banner))
-            self._counters.record("tcp_rst", t0 + 2 * rtt)
-            self._clock.advance_to(t0 + 2 * rtt)
-            return PortProbe(PortState.OPEN, banner=banner[:banner_max], rtt=rtt)
-        self._counters.record("tcp_rst", t0 + rtt)
-        self._clock.advance_to(t0 + rtt)
-        return PortProbe(PortState.OPEN, rtt=rtt)
+            self._reset(t0 + 2 * rtt)
+            return PortProbe(_OPEN, banner=banner[:banner_max], rtt=rtt)
+        self._reset(t0 + rtt)
+        return probe
 
     def tcp_exchange(self, target: IPv4, port: int, payload: bytes,
                      timeout: int) -> Optional[bytes]:
-        t0 = self._clock.now()
-        self._counters.record("tcp_syn", t0)
-        host = self._reachable(target)
-        if host is None or port in host.filtered_ports or port not in host.open_ports:
-            self._clock.advance_to(t0 + timeout)
+        probe = self._syn(target, port, timeout)
+        if probe.state is not _OPEN:
             return None
-        rtt = self._rtt(host)
-        self._counters.record("tcp_synack", t0 + rtt)
+        t0, rtt = self._clock.now(), probe.rtt
         self._counters.record("tcp_ack", t0 + rtt)
         self._counters.record("banner_data", t0 + rtt, len(payload))
-        reply = self._answer(host, payload)
+        reply = self._answer(self._hosts[target], port, payload)
         if reply is not None:
             self._counters.record("banner_data", t0 + 2 * rtt, len(reply))
-        self._counters.record("tcp_rst", t0 + 2 * rtt)
-        self._clock.advance_to(t0 + 2 * rtt)
+        self._reset(t0 + 2 * rtt)
         return reply
 
-    def _answer(self, host: _HostState, payload: bytes) -> Optional[bytes]:
+    def _answer(self, host: _HostState, port: int, payload: bytes) -> Optional[bytes]:
         if host.modbus_identity is not None:
             try:
                 tid, unit = modbus.parse_device_id_request(payload)
@@ -320,5 +316,4 @@ class SimNetwork(ProbeTransport):
                 return None
             return modbus.build_device_id_response(tid, unit, host.modbus_identity)
         # a non-Modbus service just talks its banner back
-        banner = next((b for b in host.open_ports.values() if b), None)
-        return banner
+        return host.open_ports[port]

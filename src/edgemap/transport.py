@@ -107,11 +107,6 @@ class PacketCounters:
         return out
 
 
-# Alias kept for the simulation side: simnet guarantees these counters exactly, the OS
-# backend fills them on a best-effort basis from observed socket behavior.
-SimCounters = PacketCounters
-
-
 @dataclass(frozen=True)
 class ProbeReply:
     """Outcome of an ARP or ICMP probe."""

@@ -41,10 +41,10 @@ def run(argv):
     return code, out.getvalue()
 
 
-def common(ws, scn="net.scn"):
+def common(ws, scn="net.scn", state="state"):
     return ["--config", str(ws / "edge.conf"),
             "--backend", f"sim:{ws / scn}",
-            "--state-dir", str(ws / "state")]
+            "--state-dir", str(ws / state)]
 
 
 class TestBaselineAndMonitor:
@@ -188,6 +188,67 @@ class TestSimulate:
         assert code == 0 and "baseline recorded" in first
         code, second = run(argv)
         assert code == 0 and "baseline recorded" not in second
+
+
+def _baseline(ws):
+    assert run(["baseline"] + common(ws))[0] == 0
+
+
+def _corrupt_baseline(ws):
+    _baseline(ws)
+    for path in (ws / "state").glob("*.trusted.fp"):
+        path.write_bytes(b"not a fingerprint\n")
+
+
+def _plain_file(ws):
+    (ws / "plain").write_text("")
+
+
+def _simulate(ws, scn, *extra):
+    return ["simulate", str(ws / scn), "--config", str(ws / "edge.conf"),
+            "--epochs", "1", *extra]
+
+
+# (command, failure) -> exit code; each failure has one code whatever the command.
+# The classes above cover the other codes: 2 for an existing baseline or bad
+# flags, 4 for no baseline, 5 from diff.
+# "plain/..." puts a path under a regular file.
+EXIT_CODE_ROWS = [
+    ("baseline", "unusable state dir", _plain_file,
+     lambda ws: ["baseline"] + common(ws, state="plain/sub"), 3),
+    ("rebaseline", "unusable state dir", _plain_file,
+     lambda ws: ["rebaseline", "--force"] + common(ws, state="plain/sub"), 3),
+    ("monitor", "unusable state dir", _plain_file,
+     lambda ws: ["monitor", "--epochs", "1"] + common(ws, state="plain/sub"), 3),
+    ("simulate", "unusable state dir", _plain_file,
+     lambda ws: _simulate(ws, "net.scn", "--state-dir", str(ws / "plain" / "sub")), 3),
+    ("scan", "unwritable out file", _plain_file,
+     lambda ws: ["scan", "--out", str(ws / "plain" / "a.fp")] + common(ws), 3),
+    ("monitor", "corrupt trusted baseline", _corrupt_baseline,
+     lambda ws: ["monitor", "--epochs", "1"] + common(ws), 5),
+    ("baseline", "missing scenario", None,
+     lambda ws: ["baseline"] + common(ws, "missing.scn"), 6),
+    ("rebaseline", "missing scenario", None,
+     lambda ws: ["rebaseline", "--force"] + common(ws, "missing.scn"), 6),
+    ("scan", "missing scenario", None,
+     lambda ws: ["scan"] + common(ws, "missing.scn"), 6),
+    ("monitor", "missing scenario", _baseline,
+     lambda ws: ["monitor", "--epochs", "1"] + common(ws, "missing.scn"), 6),
+    ("simulate", "missing scenario", None,
+     lambda ws: _simulate(ws, "missing.scn"), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "command,failure,prepare,argv,code", EXIT_CODE_ROWS,
+    ids=[f"{row[0]}-{row[1].replace(' ', '-')}" for row in EXIT_CODE_ROWS])
+def test_exit_code_table(ws, capsys, command, failure, prepare, argv, code):
+    if prepare is not None:
+        prepare(ws)
+    capsys.readouterr()
+    assert run(argv(ws))[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSinkWiring:

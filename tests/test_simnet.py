@@ -225,3 +225,25 @@ class TestSpecValidation:
     def test_nonpositive_rtt_rejected(self):
         with pytest.raises(ValueError):
             SimHostSpec(address=A("10.0.0.1"), base_rtt=0)
+
+
+class TestTcpExchange:
+    """tcp_exchange shares the SYN handshake of the other TCP primitives."""
+
+    def test_reply_is_the_banner_of_the_port_asked_for(self):
+        net, addr = one_host(open_ports={21: b"220 ftp ready\r\n", 22: b"SSH-2.0\r\n"})
+        assert net.tcp_exchange(addr, 22, b"hello?", SEC) == b"SSH-2.0\r\n"
+
+    def test_reply_slower_than_the_timeout_is_lost(self):
+        net, addr = one_host(open_ports={22: b"SSH-2.0\r\n"}, base_rtt=5_000)
+        assert delta(net, lambda: net.tcp_exchange(addr, 22, b"hello?", 1_000)) == {
+            "tcp_syn": 1}
+        assert net.clock.now() == 1_000
+
+    def test_closed_port_resets_after_one_rtt(self):
+        net, addr = one_host(base_rtt=300)
+        reply = []
+        assert delta(net, lambda: reply.append(
+            net.tcp_exchange(addr, 22, b"hello?", SEC))) == {"tcp_syn": 1, "tcp_rst": 1}
+        assert reply == [None]
+        assert net.clock.now() == 300
