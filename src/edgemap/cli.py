@@ -263,11 +263,19 @@ def _print_rates(counters, out) -> None:
         print(f"{sec} {row} {counters.second_bytes(sec)}", file=out)
 
 
+def _peak(buckets, classes) -> int:
+    """Busiest second of the classes' summed per-second buckets."""
+    totals = {}
+    for cls in classes:
+        for sec, n in buckets[cls].items():
+            totals[sec] = totals.get(sec, 0) + n
+    return max(totals.values(), default=0)
+
+
 def _print_peaks(counters, out) -> None:
-    seconds = counters.seconds()
-    disc = max((counters.second_count(s, DISCOVERY_CLASSES) for s in seconds), default=0)
-    tcp = max((counters.second_count(s, TCP_CLASSES) for s in seconds), default=0)
-    tcp_bytes = max((counters.second_bytes(s, TCP_CLASSES) for s in seconds), default=0)
+    disc = _peak(counters.per_second, DISCOVERY_CLASSES)
+    tcp = _peak(counters.per_second, TCP_CLASSES)
+    tcp_bytes = _peak(counters.per_second_bytes, TCP_CLASSES)
     print(f"peak discovery_pps={disc} tcp_pps={tcp} tcp_bytes_per_s={tcp_bytes} "
           f"total_packets={counters.total_packets()} total_bytes={counters.total_bytes()}",
           file=out)

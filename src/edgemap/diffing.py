@@ -10,6 +10,9 @@ from .model import (Alive, EventKind, IntrusionEvent, NetworkFingerprint,
                     PortState, ScanConfig)
 from .timebase import format_duration
 
+# looked up once: diff compares every port of every host against it
+_OPEN = PortState.OPEN
+
 
 def _describe_banner(banner) -> str:
     if banner is None:
@@ -54,20 +57,22 @@ def diff(baseline: NetworkFingerprint, current: NetworkFingerprint,
         base = baseline.hosts[addr]
         cur = current.hosts[addr]
 
-        for port in set(base.ports) & set(cur.ports):
-            was_open = base.ports[port] is PortState.OPEN
-            is_open = cur.ports[port] is PortState.OPEN
-            if not was_open and is_open:
+        cur_ports = cur.ports
+        for port, was in base.ports.items():
+            now = cur_ports.get(port)
+            if now is None or (was is not _OPEN and now is not _OPEN):
+                continue  # probed by one scan only, or open in neither
+            if was is not _OPEN:
                 events.append(IntrusionEvent(
                     kind=EventKind.PORT_OPENED, address=addr, port=port,
-                    baseline_value=base.ports[port].value,
-                    observed_value=cur.ports[port].value, scan_epoch=epoch))
-            elif was_open and not is_open:
+                    baseline_value=was.value, observed_value=now.value,
+                    scan_epoch=epoch))
+            elif now is not _OPEN:
                 events.append(IntrusionEvent(
                     kind=EventKind.PORT_CLOSED, address=addr, port=port,
-                    baseline_value=base.ports[port].value,
-                    observed_value=cur.ports[port].value, scan_epoch=epoch))
-            elif was_open and is_open:
+                    baseline_value=was.value, observed_value=now.value,
+                    scan_epoch=epoch))
+            else:
                 old = base.banners.get(port)
                 new = cur.banners.get(port)
                 if old != new:

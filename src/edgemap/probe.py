@@ -17,7 +17,7 @@ from . import modbus
 from .errors import TransportDown
 from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, ScanConfig,
                     config_digest)
-from .transport import PortProbe, ProbeTransport
+from .transport import ProbeTransport
 
 StopFn = Optional[Callable[[], bool]]
 
@@ -82,28 +82,29 @@ def discover_host(target: IPv4, config: ScanConfig,
     return Alive.UP, tuple(samples)
 
 
-def _probe_port(transport: ProbeTransport, target: IPv4, port: int,
-                config: ScanConfig) -> PortProbe:
-    if config.syn_scan:
-        return transport.tcp_syn(target, port, config.connect_timeout)
-    return transport.tcp_connect(target, port, config.connect_timeout,
-                                 banner_grab=config.banner_grab,
-                                 banner_max=config.banner_max_bytes)
-
-
 def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
                     order, stop: StopFn = None):
     """Probe every port of the configured range once, in the given order."""
-    clock = transport.clock
+    # everything but the port is fixed for the host, so bind it once
+    timeout = config.connect_timeout
+    if config.syn_scan:
+        syn = transport.tcp_syn
+        send = lambda port: syn(target, port, timeout)
+    else:
+        connect, grab, most = (transport.tcp_connect, config.banner_grab,
+                               config.banner_max_bytes)
+        send = lambda port: connect(target, port, timeout, grab, most)
+    sleep, delay = transport.clock.sleep, config.port_delay
     ports = {}
     banners = {}
     for port in order:
-        _check_stop(stop)
-        result = _probe_port(transport, target, port, config)
+        if stop is not None and stop():
+            raise SweepAborted
+        result = send(port)
         ports[port] = result.state
         if result.banner:
             banners[port] = result.banner
-        clock.sleep(config.port_delay)
+        sleep(delay)
     return ports, banners
 
 

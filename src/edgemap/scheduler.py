@@ -73,7 +73,8 @@ def run_monitor(config: ScanConfig, transport, store, sink,
 
     Waits out the startup jitter, learns the trusted baseline if the
     store has none for this config, then sweeps every rescan interval and
-    diffs each result against the trusted baseline.  Store or transport
+    diffs each result against the trusted baseline.  Epochs are numbered
+    on from the highest one the store already holds.  Store or transport
     trouble becomes an operational event and the loop carries on; only a
     stop request (or the epoch budget, when set) ends it.
     """
@@ -104,7 +105,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
                 f"open_ports={trusted.open_port_count()}"),
             epoch=0, ts=clock.now())
 
-    epoch = 1
+    epoch = store.latest_epoch(digest) + 1
     epochs_run = 0
     while max_epochs is None or epochs_run < max_epochs:
         if _wait(clock, config.rescan_interval, stop):

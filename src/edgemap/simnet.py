@@ -15,6 +15,7 @@ RTT is base_rtt * latency_factor + uniform jitter, in microseconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -28,6 +29,9 @@ from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
 # Looked up once: reading an Enum member off its class costs ~0.2 us in
 # CPython 3.11, as much as a third of a closed-port probe.
 _OPEN, _CLOSED, _FILTERED = PortState.OPEN, PortState.CLOSED, PortState.FILTERED
+
+# A filtered port carries nothing but its state, so every such probe shares one.
+_FILTERED_PROBE = PortProbe(_FILTERED)
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,13 @@ class SimNetwork(ProbeTransport):
     def __init__(self, hosts=(), script: SimScript = SimScript(), seed: int = 0):
         self._clock = VirtualClock()
         self._counters = PacketCounters()
-        self._hosts: dict[IPv4, _HostState] = {}
+        # keyed by int(address): an IPv4Address hashes through hex(), and
+        # every probe looks its target up here
+        self._hosts: dict[int, _HostState] = {}
         for spec in hosts:
-            if spec.address in self._hosts:
+            if int(spec.address) in self._hosts:
                 raise MalformedScript(f"duplicate initial host {spec.address}")
-            self._hosts[spec.address] = _HostState(spec)
+            self._hosts[int(spec.address)] = _HostState(spec)
         self._script = script
         self._next_action = 0
         self._prng = Prng(seed)
@@ -175,24 +181,30 @@ class SimNetwork(ProbeTransport):
         self._clock.advance_to(until)
         return self._next_action - before
 
-    def _apply_due(self, now: int) -> None:
+    def _apply_due(self, now: int):
+        """Clock observer: apply the actions due by `now`, return the next
+        action's time (math.inf once the script is done)."""
         actions = self._script.actions
         while self._next_action < len(actions) and actions[self._next_action].at <= now:
             self._apply(actions[self._next_action])
             self._next_action += 1
+        if self._next_action < len(actions):
+            return actions[self._next_action].at
+        return math.inf
 
     def _apply(self, action: Action) -> None:
         if isinstance(action, AddHost):
-            if action.spec.address in self._hosts:
+            key = int(action.spec.address)
+            if key in self._hosts:
                 raise MalformedScript(f"AddHost for existing address {action.spec.address}")
-            self._hosts[action.spec.address] = _HostState(action.spec)
+            self._hosts[key] = _HostState(action.spec)
             return
-        host = self._hosts.get(action.address)
+        host = self._hosts.get(int(action.address))
         if host is None:
             raise MalformedScript(
                 f"{type(action).__name__} references unknown address {action.address}")
         if isinstance(action, RemoveHost):
-            del self._hosts[action.address]
+            del self._hosts[int(action.address)]
         elif isinstance(action, OpenPort):
             host.open_ports[action.port] = action.banner
             host.filtered_ports.discard(action.port)
@@ -217,7 +229,7 @@ class SimNetwork(ProbeTransport):
         return max(rtt, 1)
 
     def _reachable(self, target: IPv4) -> Optional[_HostState]:
-        host = self._hosts.get(target)
+        host = self._hosts.get(int(target))
         if host is None or not host.arp_enabled:
             return None
         return host
@@ -261,12 +273,12 @@ class SimNetwork(ProbeTransport):
             if rtt <= timeout:
                 if port in host.open_ports:
                     self._counters.record("tcp_synack", t0 + rtt)
-                    return PortProbe(_OPEN, rtt=rtt)
+                    return PortProbe(_OPEN, None, rtt)
                 self._counters.record("tcp_rst", t0 + rtt)  # target refuses
                 self._clock.advance_to(t0 + rtt)
-                return PortProbe(_CLOSED, rtt=rtt)
+                return PortProbe(_CLOSED, None, rtt)
         self._clock.advance_to(t0 + timeout)
-        return PortProbe(_FILTERED)
+        return _FILTERED_PROBE
 
     def _reset(self, when: int) -> None:
         self._counters.record("tcp_rst", when)
@@ -285,12 +297,12 @@ class SimNetwork(ProbeTransport):
             return probe
         t0, rtt = self._clock.now(), probe.rtt
         self._counters.record("tcp_ack", t0 + rtt)
-        banner = self._hosts[target].open_ports[port]
+        banner = self._hosts[int(target)].open_ports[port]
         if banner_grab and banner:
             # service pushes its banner one round trip after the handshake
             self._counters.record("banner_data", t0 + 2 * rtt, len(banner))
             self._reset(t0 + 2 * rtt)
-            return PortProbe(_OPEN, banner=banner[:banner_max], rtt=rtt)
+            return PortProbe(_OPEN, banner[:banner_max], rtt)
         self._reset(t0 + rtt)
         return probe
 
@@ -302,7 +314,7 @@ class SimNetwork(ProbeTransport):
         t0, rtt = self._clock.now(), probe.rtt
         self._counters.record("tcp_ack", t0 + rtt)
         self._counters.record("banner_data", t0 + rtt, len(payload))
-        reply = self._answer(self._hosts[target], port, payload)
+        reply = self._answer(self._hosts[int(target)], port, payload)
         if reply is not None:
             self._counters.record("banner_data", t0 + 2 * rtt, len(reply))
         self._reset(t0 + 2 * rtt)

@@ -51,8 +51,11 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
         lines.append(f"host {addr} {_ALIVE_WIRE[rec.alive]}")
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(str(s) for s in rec.rtt_samples))
-        for port in sorted(rec.ports):
-            lines.append(f"port {port} {rec.ports[port].value}")
+        # `_value_` is the member's value as a plain attribute: `value` is a
+        # property and a dict keyed by member calls Enum.__hash__, and
+        # either costs more than the rest of the line
+        ports = rec.ports
+        lines += [f"port {port} {ports[port]._value_}" for port in sorted(ports)]
         for port in sorted(rec.banners):
             lines.append(f"banner {port} {rec.banners[port].hex()}")
     lines.append("end")
@@ -188,12 +191,22 @@ class FingerprintStore:
     def has_trusted(self, digest: int) -> bool:
         return self._trusted_path(digest).exists()
 
+    def latest_epoch(self, digest: int) -> int:
+        """Highest epoch number stored for the digest, 0 when there is none.
+
+        Read from the numbers in the file names: a name sort would put
+        epoch1000000 before epoch999999.
+        """
+        prefix = f"{digest:016x}.epoch"
+        numbers = (path.name[len(prefix):-len(".fp")]
+                   for path in self.directory.glob(f"{prefix}*.fp"))
+        return max((int(n) for n in numbers if n.isdecimal()), default=0)
+
     def load_latest(self, digest: int) -> NetworkFingerprint:
-        pattern = f"{digest:016x}.epoch*.fp"
-        candidates = sorted(self.directory.glob(pattern))
-        if not candidates:
+        epoch = self.latest_epoch(digest)
+        if not epoch:
             raise NotFound(f"no epoch fingerprints for digest {digest:016x}")
-        return self._load(candidates[-1])
+        return self._load(self._epoch_path(digest, epoch))
 
     def delete_trusted(self, digest: int) -> None:
         path = self._trusted_path(digest)

@@ -8,8 +8,7 @@ way against either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapabilityUnsupported
 from .model import IPv4, PortState
@@ -107,16 +106,16 @@ class PacketCounters:
         return out
 
 
-@dataclass(frozen=True)
-class ProbeReply:
+# Tuples, not frozen dataclasses: one is built per probe, and a tuple
+# builds in a fraction of the time.
+class ProbeReply(NamedTuple):
     """Outcome of an ARP or ICMP probe."""
 
     replied: bool
     rtt: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PortProbe:
+class PortProbe(NamedTuple):
     """Outcome of a TCP port probe."""
 
     state: PortState

@@ -189,6 +189,14 @@ class TestSimulate:
         code, second = run(argv)
         assert code == 0 and "baseline recorded" not in second
 
+    def test_restart_numbers_epochs_on(self, ws):
+        argv = ["simulate", str(ws / "change.scn"), "--config", str(ws / "edge.conf"),
+                "--epochs", "2", "--rates", "none", "--state-dir", str(ws / "simstate")]
+        assert run(argv)[0] == 0
+        assert run(argv)[0] == 0
+        assert sorted(p.name.split(".")[1] for p in (ws / "simstate").glob("*.fp")) == [
+            "epoch000001", "epoch000002", "epoch000003", "epoch000004", "trusted"]
+
 
 def _baseline(ws):
     assert run(["baseline"] + common(ws))[0] == 0

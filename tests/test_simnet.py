@@ -2,8 +2,10 @@ import ipaddress
 
 import pytest
 
+from conftest import small_config
 from edgemap.errors import MalformedScript
 from edgemap.model import PortState
+from edgemap.probe import scan_host_ports
 from edgemap.simnet import (AddHost, ClosePort, OpenPort, RemoveHost, SetArp,
                             SetIcmpEcho, SetLatencyFactor, SimHostSpec,
                             SimNetwork, SimScript)
@@ -195,6 +197,17 @@ class TestScript:
         assert net.tcp_syn(new.address, 80, 1000).state is PortState.OPEN
         net.simnet_advance(4 * SEC)
         assert not net.arp_probe(new.address, 1000).replied
+
+    def test_removal_between_two_probes_of_one_scan(self):
+        # closed ports answer in 500us, then the scan paces 100ms per port
+        spec = SimHostSpec(address=self.addr(1), base_rtt=500)
+        step = 500 + 100_000
+        removed_at = 4 * step - 50_000  # in the pause after the 4th probe
+        net = SimNetwork([spec], SimScript((RemoveHost(removed_at, spec.address),)))
+        order = (5, 1, 7, 3, 2, 8, 4, 6)
+        ports, _ = scan_host_ports(spec.address, small_config(port_range=(1, 8)),
+                                   net, order)
+        assert [ports[p] for p in order] == [PortState.CLOSED] * 4 + [PortState.FILTERED] * 4
 
     def test_script_times_must_be_non_decreasing(self):
         with pytest.raises(MalformedScript):

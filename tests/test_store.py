@@ -137,6 +137,17 @@ class TestFingerprintStore:
         store.save_epoch(second, 2)
         assert store.load_latest(first.config_digest) == second
 
+    def test_latest_is_by_epoch_number_not_by_name(self, tmp_path):
+        # "epoch1000000" sorts before "epoch999999" as a name
+        store = FingerprintStore(tmp_path)
+        first = sample_fp()
+        second = dataclasses.replace(first, finished_at=9999)
+        assert store.latest_epoch(first.config_digest) == 0
+        store.save_epoch(first, 999_999)
+        store.save_epoch(second, 1_000_000)
+        assert store.latest_epoch(first.config_digest) == 1_000_000
+        assert store.load_latest(first.config_digest) == second
+
     def test_missing_records_raise_not_found(self, tmp_path):
         store = FingerprintStore(tmp_path)
         with pytest.raises(NotFound):

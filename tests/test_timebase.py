@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from edgemap.timebase import (MonotonicClock, VirtualClock, format_duration,
@@ -51,12 +53,24 @@ class TestVirtualClock:
             clock.sleep(-1)
 
     def test_on_advance_callback_sees_new_time(self):
+        """The observer runs at the first advance that reaches its wake time,
+        never before, and what it returns is its next wake time."""
         clock = VirtualClock()
         seen = []
-        clock.on_advance(seen.append)
-        clock.advance_to(10)
-        clock.sleep(5)
-        assert seen == [10, 15]
+        wakes = iter([10, 25, math.inf])
+
+        def observer(now):
+            seen.append(now)
+            return next(wakes)
+
+        clock.on_advance(observer)
+        clock.advance_to(3)        # a new observer wakes at the next advance
+        clock.advance_to(9)        # short of its wake time, 10
+        clock.sleep(1)             # reaches 10 exactly
+        clock.advance_to(24)
+        clock.advance_to(30)       # passes 25
+        clock.advance_to(10**12)   # inf: never again
+        assert seen == [3, 10, 30]
 
 
 def test_monotonic_clock_moves_forward():
