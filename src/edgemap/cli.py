@@ -18,6 +18,7 @@ import signal
 import sys
 import tempfile
 import threading
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,13 +26,12 @@ from . import scenario as scenario_mod
 from .diffing import classify_scenario, diff
 from .errors import (CapabilityUnsupported, CorruptRecord, IncomparableFingerprints,
                      MalformedScript, NotFound, TransportDown, TrustedAlreadyExists)
-from .model import AddressRange, ScanConfig, config_digest
+from .model import AddressRange, EventKind, ScanConfig, config_digest
 from .osnet import OsNetwork
 from .probe import full_sweep
 from .rng import Prng
 from .scheduler import make_schedule, run_monitor
-from .sink import (EventSink, FileOutput, SinkConfig, StdoutOutput, UdpOutput,
-                   format_intrusion)
+from .sink import EventSink, FileOutput, StdoutOutput, UdpOutput, format_intrusion
 from .store import FingerprintStore, dumps_fingerprint, loads_fingerprint
 from .timebase import SECOND, format_duration, parse_duration
 from .transport import DISCOVERY_CLASSES, PACKET_CLASSES, TCP_CLASSES
@@ -157,8 +157,7 @@ def build_sink(args, stream=None) -> EventSink:
             outputs.append(UdpOutput(host, int(port)))
         else:
             raise ValueError(f"unknown sink {spec!r}")
-    return EventSink(SinkConfig(outputs=tuple(outputs),
-                                node_id=getattr(args, "node_id", "edgemap")))
+    return EventSink(tuple(outputs), node_id=getattr(args, "node_id", "edgemap"))
 
 
 def _sweep(args, config):
@@ -286,17 +285,19 @@ def cmd_simulate(args, out) -> int:
         args.backend = f"sim:{args.scenario}"
     config = build_config(args)
     transport = build_transport(args, config)
-    if args.state_dir:
-        store = FingerprintStore(args.state_dir)
-    else:
-        tmp = tempfile.TemporaryDirectory(prefix="edgemap-sim-")
-        store = FingerprintStore(tmp.name)
-    sink = build_sink(args, stream=out)
-    result = run_monitor(config, transport, store, sink, max_epochs=args.epochs)
+    tags = set()
+    with (nullcontext(args.state_dir) if args.state_dir
+          else tempfile.TemporaryDirectory(prefix="edgemap-sim-")) as state_dir:
+        store = FingerprintStore(state_dir)
+        sink = build_sink(args, stream=out)
+        # every epoch with events reaches the hook, so the tags cover the run
+        sink.trigger_kinds = frozenset(EventKind)
+        sink.safe_state_callback = lambda events: tags.update(classify_scenario(events))
+        run_monitor(config, transport, store, sink, max_epochs=args.epochs)
     if args.rates != "none":
         _print_rates(transport.counters, out)
     _print_peaks(transport.counters, out)
-    tags = classify_scenario(result.events)
+    tags = tags or classify_scenario(())
     print("tags " + ",".join(sorted(tag.value for tag in tags)), file=out)
     return EXIT_OK
 

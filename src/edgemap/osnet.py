@@ -35,17 +35,9 @@ class OsNetwork(ProbeTransport):
     supports_raw_syn = False
 
     def __init__(self):
-        self._clock = MonotonicClock()
-        self._counters = PacketCounters()
+        self.clock = MonotonicClock()
+        self.counters = PacketCounters()
         self._icmp_seq = 0
-
-    @property
-    def clock(self) -> MonotonicClock:
-        return self._clock
-
-    @property
-    def counters(self) -> PacketCounters:
-        return self._counters
 
     def _icmp_socket(self) -> socket.socket:
         try:
@@ -65,19 +57,19 @@ class OsNetwork(ProbeTransport):
         payload = b"edgemap-echo-payload-32-bytes!!!"
         packet = struct.pack(">BBHHH", 8, 0, _icmp_checksum(header + payload),
                              ident, self._icmp_seq) + payload
-        t0 = self._clock.now()
-        self._counters.record("icmp_request", t0)
+        t0 = self.clock.now()
+        self.counters.record("icmp_request", t0)
         with self._icmp_socket() as sock:
             sock.settimeout(timeout / SECOND)
             try:
                 sock.sendto(packet, (str(target), 0))
                 while True:
                     data, _peer = sock.recvfrom(2048)
-                    now = self._clock.now()
+                    now = self.clock.now()
                     if now - t0 > timeout:
                         return ProbeReply(False)
                     if self._echo_reply_matches(data, self._icmp_seq):
-                        self._counters.record("icmp_reply", now)
+                        self.counters.record("icmp_reply", now)
                         return ProbeReply(True, now - t0)
             except (socket.timeout, OSError):
                 return ProbeReply(False)
@@ -94,24 +86,24 @@ class OsNetwork(ProbeTransport):
 
     def tcp_connect(self, target: IPv4, port: int, timeout: int,
                     banner_grab: bool = True, banner_max: int = 128) -> PortProbe:
-        t0 = self._clock.now()
-        self._counters.record("tcp_syn", t0)
+        t0 = self.clock.now()
+        self.counters.record("tcp_syn", t0)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.settimeout(timeout / SECOND)
         try:
             sock.connect((str(target), port))
         except ConnectionRefusedError:
-            now = self._clock.now()
-            self._counters.record("tcp_rst", now)
+            now = self.clock.now()
+            self.counters.record("tcp_rst", now)
             sock.close()
             return PortProbe(PortState.CLOSED, rtt=now - t0)
         except (socket.timeout, OSError):
             sock.close()
             return PortProbe(PortState.FILTERED)
-        now = self._clock.now()
+        now = self.clock.now()
         rtt = now - t0
-        self._counters.record("tcp_synack", now)
-        self._counters.record("tcp_ack", now)
+        self.counters.record("tcp_synack", now)
+        self.counters.record("tcp_ack", now)
         banner: Optional[bytes] = None
         if banner_grab:
             try:
@@ -119,7 +111,7 @@ class OsNetwork(ProbeTransport):
                 data = sock.recv(banner_max)
                 if data:
                     banner = data
-                    self._counters.record("banner_data", self._clock.now(), len(data))
+                    self.counters.record("banner_data", self.clock.now(), len(data))
             except (socket.timeout, OSError):
                 pass
         # reset instead of orderly FIN so the probe mirrors the scan sequence
@@ -127,7 +119,7 @@ class OsNetwork(ProbeTransport):
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         except OSError:
             pass
-        self._counters.record("tcp_rst", self._clock.now())
+        self.counters.record("tcp_rst", self.clock.now())
         sock.close()
         return PortProbe(PortState.OPEN, banner=banner, rtt=rtt)
 
@@ -136,20 +128,20 @@ class OsNetwork(ProbeTransport):
 
     def tcp_exchange(self, target: IPv4, port: int, payload: bytes,
                      timeout: int) -> Optional[bytes]:
-        t0 = self._clock.now()
-        self._counters.record("tcp_syn", t0)
+        t0 = self.clock.now()
+        self.counters.record("tcp_syn", t0)
         try:
             with socket.create_connection((str(target), port), timeout / SECOND) as sock:
-                now = self._clock.now()
-                self._counters.record("tcp_synack", now)
-                self._counters.record("tcp_ack", now)
+                now = self.clock.now()
+                self.counters.record("tcp_synack", now)
+                self.counters.record("tcp_ack", now)
                 sock.settimeout(timeout / SECOND)
                 sock.sendall(payload)
-                self._counters.record("banner_data", self._clock.now(), len(payload))
+                self.counters.record("banner_data", self.clock.now(), len(payload))
                 reply = sock.recv(4096)
-                self._counters.record("tcp_rst", self._clock.now())
+                self.counters.record("tcp_rst", self.clock.now())
                 if reply:
-                    self._counters.record("banner_data", self._clock.now(), len(reply))
+                    self.counters.record("banner_data", self.clock.now(), len(reply))
                     return reply
                 return None
         except (socket.timeout, OSError):

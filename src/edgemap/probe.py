@@ -28,23 +28,6 @@ class SweepAborted(Exception):
     """Raised internally when a stop request interrupts a sweep."""
 
 
-def _check_stop(stop: StopFn) -> None:
-    if stop is not None and stop():
-        raise SweepAborted
-
-
-def _windowed(transport: ProbeTransport, probe, window: int, delay: int):
-    """Run a discovery probe, hold its full listening window, then pace."""
-    clock = transport.clock
-    t0 = clock.now()
-    result = probe()
-    remaining = t0 + window - clock.now()
-    if remaining > 0:
-        clock.sleep(remaining)
-    clock.sleep(delay)
-    return result
-
-
 def discover_host(target: IPv4, config: ScanConfig,
                   transport: ProbeTransport, stop: StopFn = None):
     """Classify a host as Up / SilentUp / Down and collect RTT samples.
@@ -53,33 +36,31 @@ def discover_host(target: IPv4, config: ScanConfig,
     it, ICMP alone decides between Up and Down.  Up hosts contribute
     RTT_SAMPLE_COUNT echo samples spaced by the ping delay.
     """
-    samples = []
-    if transport.supports_arp:
-        _check_stop(stop)
-        arp = _windowed(transport,
-                        lambda: transport.arp_probe(target, config.ping_timeout),
-                        config.ping_timeout, config.ping_delay)
-        if not arp.replied:
-            return Alive.DOWN, ()
-    _check_stop(stop)
-    first = _windowed(transport,
-                      lambda: transport.icmp_ping(target, config.ping_timeout),
-                      config.ping_timeout, config.ping_delay)
-    if not first.replied:
-        if transport.supports_arp:
-            return Alive.SILENT_UP, ()
+    clock, window, delay = transport.clock, config.ping_timeout, config.ping_delay
+
+    def windowed(probe):
+        """Run one discovery probe, hold its full listening window, then pace."""
+        if stop is not None and stop():
+            raise SweepAborted
+        t0 = clock.now()
+        result = probe(target, window)
+        remaining = t0 + window - clock.now()
+        if remaining > 0:
+            clock.sleep(remaining)
+        clock.sleep(delay)
+        return result
+
+    if transport.supports_arp and not windowed(transport.arp_probe).replied:
         return Alive.DOWN, ()
-    samples.append(first.rtt)
+    samples = []
     while len(samples) < RTT_SAMPLE_COUNT:
-        _check_stop(stop)
-        ping = _windowed(transport,
-                         lambda: transport.icmp_ping(target, config.ping_timeout),
-                         config.ping_timeout, config.ping_delay)
-        if ping.replied:
-            samples.append(ping.rtt)
-        else:
+        ping = windowed(transport.icmp_ping)
+        if not ping.replied:
             break
-    return Alive.UP, tuple(samples)
+        samples.append(ping.rtt)
+    if samples:
+        return Alive.UP, tuple(samples)
+    return (Alive.SILENT_UP if transport.supports_arp else Alive.DOWN), ()
 
 
 def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,

@@ -18,32 +18,28 @@ class ScanSchedule:
     """One epoch's pseudo-random scan plan.
 
     Host order is a fresh Fisher-Yates permutation of the address range.
-    Port orders are drawn lazily per host from the schedule's own PRNG
-    stream, so a /24 sweep does not materialize a thousand-entry
+    Port orders are drawn lazily, one per call, from the schedule's own
+    PRNG stream, so a /24 sweep does not materialize a thousand-entry
     permutation for every silent address up front.
     """
 
     host_order: tuple
     startup_delay: int
-    epoch: int
     port_range: tuple
     _rng: Prng = field(repr=False, default=None)
-    _port_orders: dict = field(default_factory=dict, repr=False)
 
     def port_order(self, address) -> tuple:
-        if address not in self._port_orders:
-            ports = list(range(self.port_range[0], self.port_range[1] + 1))
-            self._port_orders[address] = tuple(self._rng.shuffle(ports))
-        return self._port_orders[address]
+        ports = list(range(self.port_range[0], self.port_range[1] + 1))
+        return tuple(self._rng.shuffle(ports))
 
 
-def make_schedule(config: ScanConfig, rng: Prng, epoch: int = 0) -> ScanSchedule:
+def make_schedule(config: ScanConfig, rng: Prng) -> ScanSchedule:
     """Draw a fresh schedule from the PRNG stream; fixed seed reproduces it."""
     addresses = list(config.address_range)
     rng.shuffle(addresses)
     startup = rng.uniform_int(config.startup_delay_min, config.startup_delay_max)
     return ScanSchedule(host_order=tuple(addresses), startup_delay=startup,
-                        epoch=epoch, port_range=config.port_range, _rng=rng)
+                        port_range=config.port_range, _rng=rng)
 
 
 def _wait(clock, duration: int, stop) -> bool:
@@ -61,14 +57,8 @@ def _wait(clock, duration: int, stop) -> bool:
     return stop is not None and stop()
 
 
-@dataclass
-class MonitorResult:
-    epochs_run: int
-    events: list
-
-
 def run_monitor(config: ScanConfig, transport, store, sink,
-                stop=None, max_epochs=None) -> MonitorResult:
+                stop=None, max_epochs=None) -> int:
     """The continuous scan loop.
 
     Waits out the startup jitter, learns the trusted baseline if the
@@ -76,16 +66,16 @@ def run_monitor(config: ScanConfig, transport, store, sink,
     diffs each result against the trusted baseline.  Epochs are numbered
     on from the highest one the store already holds.  Store or transport
     trouble becomes an operational event and the loop carries on; only a
-    stop request (or the epoch budget, when set) ends it.
+    stop request (or the epoch budget, when set) ends it.  Returns the
+    number of epochs run; events leave only through the sink.
     """
     clock = transport.clock
     rng = Prng(config.seed)
     digest = config_digest(config)
-    all_events = []
 
-    schedule = make_schedule(config, rng, epoch=0)
+    schedule = make_schedule(config, rng)
     if _wait(clock, schedule.startup_delay, stop):
-        return MonitorResult(0, all_events)
+        return 0
 
     try:
         trusted = store.load_trusted(digest)
@@ -96,7 +86,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
         try:
             fp = full_sweep(config, transport, schedule, stop)
         except SweepAborted:
-            return MonitorResult(0, all_events)
+            return 0
         trusted = replace(fp, trusted=True)
         store.save_trusted(trusted)
         sink.emit_operational(
@@ -110,7 +100,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
     while max_epochs is None or epochs_run < max_epochs:
         if _wait(clock, config.rescan_interval, stop):
             break
-        schedule = make_schedule(config, rng, epoch=epoch)
+        schedule = make_schedule(config, rng)
         try:
             fp = full_sweep(config, transport, schedule, stop)
         except SweepAborted:
@@ -132,7 +122,6 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             sink.emit_operational(
                 OperationalEvent(f"store write failed: {exc}", Severity.WARNING),
                 epoch=epoch, ts=clock.now())
-        all_events.extend(events)
         epoch += 1
         epochs_run += 1
-    return MonitorResult(epochs_run, all_events)
+    return epochs_run

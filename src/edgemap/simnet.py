@@ -151,8 +151,8 @@ class SimNetwork(ProbeTransport):
     supports_raw_syn = True
 
     def __init__(self, hosts=(), script: SimScript = SimScript(), seed: int = 0):
-        self._clock = VirtualClock()
-        self._counters = PacketCounters()
+        self.clock = VirtualClock()
+        self.counters = PacketCounters()
         # keyed by int(address): an IPv4Address hashes through hex(), and
         # every probe looks its target up here
         self._hosts: dict[int, _HostState] = {}
@@ -163,22 +163,14 @@ class SimNetwork(ProbeTransport):
         self._script = script
         self._next_action = 0
         self._prng = Prng(seed)
-        self._clock.on_advance(self._apply_due)
-
-    @property
-    def clock(self) -> VirtualClock:
-        return self._clock
-
-    @property
-    def counters(self) -> PacketCounters:
-        return self._counters
+        self.clock.on_advance(self._apply_due)
 
     # -- script handling ----------------------------------------------------
 
     def simnet_advance(self, until: int) -> int:
         """Advance the virtual clock, applying all due script actions."""
         before = self._next_action
-        self._clock.advance_to(until)
+        self.clock.advance_to(until)
         return self._next_action - before
 
     def _apply_due(self, now: int):
@@ -237,15 +229,15 @@ class SimNetwork(ProbeTransport):
     def _echo(self, request: str, reply: str, host: Optional[_HostState],
               timeout: int) -> ProbeReply:
         """One request/reply exchange with a host that answers, or with nobody."""
-        t0 = self._clock.now()
-        self._counters.record(request, t0)
+        t0 = self.clock.now()
+        self.counters.record(request, t0)
         if host is not None:
             rtt = self._rtt(host)
             if rtt <= timeout:
-                self._counters.record(reply, t0 + rtt)
-                self._clock.advance_to(t0 + rtt)
+                self.counters.record(reply, t0 + rtt)
+                self.clock.advance_to(t0 + rtt)
                 return ProbeReply(True, rtt)
-        self._clock.advance_to(t0 + timeout)
+        self.clock.advance_to(t0 + timeout)
         return ProbeReply(False)
 
     def arp_probe(self, target: IPv4, timeout: int) -> ProbeReply:
@@ -265,29 +257,29 @@ class SimNetwork(ProbeTransport):
         recorded and the clock still at the send time, so the caller
         finishes the exchange.
         """
-        t0 = self._clock.now()
-        self._counters.record("tcp_syn", t0)
+        t0 = self.clock.now()
+        self.counters.record("tcp_syn", t0)
         host = self._reachable(target)
         if host is not None and port not in host.filtered_ports:
             rtt = self._rtt(host)
             if rtt <= timeout:
                 if port in host.open_ports:
-                    self._counters.record("tcp_synack", t0 + rtt)
+                    self.counters.record("tcp_synack", t0 + rtt)
                     return PortProbe(_OPEN, None, rtt)
-                self._counters.record("tcp_rst", t0 + rtt)  # target refuses
-                self._clock.advance_to(t0 + rtt)
+                self.counters.record("tcp_rst", t0 + rtt)  # target refuses
+                self.clock.advance_to(t0 + rtt)
                 return PortProbe(_CLOSED, None, rtt)
-        self._clock.advance_to(t0 + timeout)
+        self.clock.advance_to(t0 + timeout)
         return _FILTERED_PROBE
 
     def _reset(self, when: int) -> None:
-        self._counters.record("tcp_rst", when)
-        self._clock.advance_to(when)
+        self.counters.record("tcp_rst", when)
+        self.clock.advance_to(when)
 
     def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
         probe = self._syn(target, port, timeout)
         if probe.state is _OPEN:
-            self._reset(self._clock.now() + probe.rtt)  # scanner tears down half-open
+            self._reset(self.clock.now() + probe.rtt)  # scanner tears down half-open
         return probe
 
     def tcp_connect(self, target: IPv4, port: int, timeout: int,
@@ -295,12 +287,12 @@ class SimNetwork(ProbeTransport):
         probe = self._syn(target, port, timeout)
         if probe.state is not _OPEN:
             return probe
-        t0, rtt = self._clock.now(), probe.rtt
-        self._counters.record("tcp_ack", t0 + rtt)
+        t0, rtt = self.clock.now(), probe.rtt
+        self.counters.record("tcp_ack", t0 + rtt)
         banner = self._hosts[int(target)].open_ports[port]
         if banner_grab and banner:
             # service pushes its banner one round trip after the handshake
-            self._counters.record("banner_data", t0 + 2 * rtt, len(banner))
+            self.counters.record("banner_data", t0 + 2 * rtt, len(banner))
             self._reset(t0 + 2 * rtt)
             return PortProbe(_OPEN, banner[:banner_max], rtt)
         self._reset(t0 + rtt)
@@ -311,12 +303,12 @@ class SimNetwork(ProbeTransport):
         probe = self._syn(target, port, timeout)
         if probe.state is not _OPEN:
             return None
-        t0, rtt = self._clock.now(), probe.rtt
-        self._counters.record("tcp_ack", t0 + rtt)
-        self._counters.record("banner_data", t0 + rtt, len(payload))
+        t0, rtt = self.clock.now(), probe.rtt
+        self.counters.record("tcp_ack", t0 + rtt)
+        self.counters.record("banner_data", t0 + rtt, len(payload))
         reply = self._answer(self._hosts[int(target)], port, payload)
         if reply is not None:
-            self._counters.record("banner_data", t0 + 2 * rtt, len(reply))
+            self.counters.record("banner_data", t0 + 2 * rtt, len(reply))
         self._reset(t0 + 2 * rtt)
         return reply
 

@@ -147,10 +147,17 @@ def _fit_udp(line: str) -> bytes:
 
 
 @dataclass
-class SinkConfig:
+class EventSink:
+    """Serializes events to every configured output and drives the safe-state hook.
+
+    `reports` keeps the failed deliveries; a delivered line leaves nothing behind.
+    """
+
     outputs: tuple
     node_id: str = "edgemap"
-    min_severity: Severity = Severity.INFO
+    trigger_kinds: frozenset = frozenset()
+    safe_state_callback: Optional[object] = None
+    reports: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.outputs:
@@ -158,35 +165,23 @@ class SinkConfig:
         if not self.node_id:
             raise ValueError("node_id must be nonempty")
 
-
-@dataclass
-class EventSink:
-    """Serializes events to every configured output and drives the safe-state hook."""
-
-    config: SinkConfig
-    trigger_kinds: frozenset = frozenset()
-    safe_state_callback: Optional[object] = None
-    reports: list = field(default_factory=list)
-
     def _deliver(self, line: str):
         reports = []
-        for output in self.config.outputs:
+        for output in self.outputs:
             try:
                 output.write_line(line)
                 reports.append(DeliveryReport(output.name, True))
             except Exception as exc:  # one bad output never stops the loop
                 reports.append(DeliveryReport(output.name, False, str(exc)))
-        self.reports.extend(reports)
+        self.reports += [report for report in reports if not report.ok]
         return reports
 
     def emit_intrusion(self, event: IntrusionEvent, ts: int):
-        line = format_intrusion(self.config.node_id, event.scan_epoch, ts, event)
+        line = format_intrusion(self.node_id, event.scan_epoch, ts, event)
         return self._deliver(line)
 
     def emit_operational(self, event: OperationalEvent, epoch: int, ts: int):
-        if event.severity < self.config.min_severity:
-            return []
-        line = format_operational(self.config.node_id, epoch, ts, event)
+        line = format_operational(self.node_id, epoch, ts, event)
         return self._deliver(line)
 
     def end_epoch(self, events, epoch: int, ts: int) -> None:

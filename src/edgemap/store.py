@@ -151,7 +151,6 @@ class FingerprintStore:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.write_log = []
 
     def _trusted_path(self, digest: int) -> Path:
         return self.directory / f"{digest:016x}.trusted.fp"
@@ -163,7 +162,6 @@ class FingerprintStore:
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(dumps_fingerprint(fp))
         os.replace(tmp, path)
-        self.write_log.append(path.name)
 
     def save_trusted(self, fp: NetworkFingerprint) -> None:
         if not fp.trusted:

@@ -133,14 +133,8 @@ class ProbeTransport:
 
     supports_arp: bool = False
     supports_raw_syn: bool = False
-
-    @property
-    def clock(self):
-        raise NotImplementedError
-
-    @property
-    def counters(self) -> PacketCounters:
-        raise NotImplementedError
+    clock: object                # the backend's scan clock (timebase)
+    counters: PacketCounters
 
     def arp_probe(self, target: IPv4, timeout: int) -> ProbeReply:
         raise CapabilityUnsupported("backend has no ARP capability")

@@ -5,8 +5,8 @@ import socket
 import pytest
 
 from edgemap.model import EventKind, IntrusionEvent
-from edgemap.sink import (EventSink, FileOutput, OperationalEvent, Severity,
-                          SinkConfig, StdoutOutput, UdpOutput, format_intrusion,
+from edgemap.sink import (EventSink, FileOutput, OperationalEvent,
+                          StdoutOutput, UdpOutput, format_intrusion,
                           format_operational, parse_intrusion, parse_line,
                           _fit_udp)
 
@@ -96,15 +96,14 @@ class TestEventSink:
             def write_line(self, line):
                 captured.append(line)
 
-        sink = EventSink(SinkConfig(outputs=outputs or (Capture(),), node_id="n"),
-                         **kw)
+        sink = EventSink(outputs or (Capture(),), node_id="n", **kw)
         return sink, captured
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SinkConfig(outputs=())
+            EventSink(())
         with pytest.raises(ValueError):
-            SinkConfig(outputs=(StdoutOutput(),), node_id="")
+            EventSink((StdoutOutput(),), node_id="")
 
     def test_emit_intrusion_returns_reports(self):
         sink, captured = self.make()
@@ -120,21 +119,14 @@ class TestEventSink:
                 raise OSError("wire cut")
 
         sink, captured = self.make()
-        sink.config = SinkConfig(outputs=(Broken(),) + sink.config.outputs,
-                                 node_id="n")
+        sink.outputs = (Broken(),) + sink.outputs
         reports = sink.emit_intrusion(ev(), ts=7)
         assert [(r.output, r.ok) for r in reports] == [
             ("broken", False), ("capture", True)]
         assert reports[0].error == "wire cut"
         assert len(captured) == 1
-
-    def test_severity_filter(self):
-        sink, captured = self.make()
-        sink.config = SinkConfig(outputs=sink.config.outputs, node_id="n",
-                                 min_severity=Severity.WARNING)
-        assert sink.emit_operational(OperationalEvent("chatty"), 0, 0) == []
-        sink.emit_operational(OperationalEvent("bad", Severity.WARNING), 0, 0)
-        assert len(captured) == 1
+        # the sink keeps the failures only
+        assert sink.reports == [reports[0]]
 
     def test_safe_state_hook_fires_once_for_trigger_kinds(self):
         calls = []

@@ -123,7 +123,7 @@ class TestFingerprintStore:
         store.save_trusted(fp)
         with pytest.raises(TrustedAlreadyExists):
             store.save_trusted(fp)
-        assert len(store.write_log) == 1
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_untrusted_fingerprint_rejected_as_baseline(self, tmp_path):
         with pytest.raises(ValueError):

@@ -43,12 +43,12 @@ class LoopbackServer:
                 continue
             except OSError:
                 return
-            try:
-                if self.banner:
-                    conn.sendall(self.banner)
-                conn.close()
-            except OSError:
-                pass
+            with conn:
+                try:
+                    if self.banner:
+                        conn.sendall(self.banner)
+                except OSError:
+                    pass
 
     def close(self):
         self._stopping = True
