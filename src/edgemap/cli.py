@@ -63,16 +63,33 @@ EXIT_CODES = (
 
 LOGGER_ENV = "EDGEMAP_LOGGER"
 
-_DURATION_KEYS = {"ping_delay", "port_delay", "startup_delay_min",
-                  "startup_delay_max", "rescan_interval", "rtt_anomaly_floor",
-                  "connect_timeout", "ping_timeout"}
-_BOOL_KEYS = {"scan_silent_hosts", "banner_grab", "syn_scan"}
-_INT_KEYS = {"seed", "banner_max_bytes"}
-
 
 def _parse_ports(text: str) -> tuple:
     lo, _, hi = text.partition("-")
     return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+
+
+# Every ScanConfig field a config file or a flag may set, with the parser
+# of its text.  Flags are stored under the field name, so one lookup
+# serves both.
+CONFIG_FIELDS = {
+    "address_range": AddressRange.parse,
+    "port_range": _parse_ports,
+    "ping_delay": parse_duration,
+    "port_delay": parse_duration,
+    "startup_delay_min": parse_duration,
+    "startup_delay_max": parse_duration,
+    "rescan_interval": parse_duration,
+    "seed": int,
+    "scan_silent_hosts": scenario_mod.parse_bool,
+    "banner_grab": scenario_mod.parse_bool,
+    "banner_max_bytes": int,
+    "rtt_anomaly_factor": float,
+    "rtt_anomaly_floor": parse_duration,
+    "connect_timeout": parse_duration,
+    "ping_timeout": parse_duration,
+    "syn_scan": scenario_mod.parse_bool,
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -90,53 +107,30 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value: str):
-    if key == "address_range":
-        return AddressRange.parse(value)
-    if key == "port_range":
-        return _parse_ports(value)
-    if key in _DURATION_KEYS:
-        return parse_duration(value)
-    if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(value)
-    if key == "rtt_anomaly_factor":
-        return float(value)
-    raise ValueError(f"unknown config key {key!r}")
-
-
 def build_config(args) -> ScanConfig:
+    """The config file's values with the flags given over them."""
+    text = load_config_file(args.config) if args.config else {}
+    for key in CONFIG_FIELDS:
+        if getattr(args, key, None) is not None:
+            text[key] = getattr(args, key)
     values = {}
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
-    if getattr(args, "range", None):
-        values["address_range"] = AddressRange.parse(args.range)
-    if getattr(args, "ports", None):
-        values["port_range"] = _parse_ports(args.ports)
-    for flag, key in (("ping_delay", "ping_delay"), ("port_delay", "port_delay"),
-                      ("rescan_interval", "rescan_interval")):
-        raw = getattr(args, flag, None)
-        if raw is not None:
-            values[key] = parse_duration(raw)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if getattr(args, "syn", False):
-        values["syn_scan"] = True
+    for key, raw in text.items():
+        if key not in CONFIG_FIELDS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_FIELDS[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
     if "address_range" not in values:
         raise ValueError("an address range is required (--range or config file)")
     return ScanConfig(**values)
 
 
-def build_transport(args, config: ScanConfig):
-    backend = getattr(args, "backend", None) or "os"
+def build_transport(backend: str, config: ScanConfig):
     if backend == "os":
         return OsNetwork()
     if backend.startswith("sim:"):
-        scn = scenario_mod.load(backend[4:])
-        seed = config.seed if config.seed is not None else 0
-        return scn.build(seed=seed)
+        return scenario_mod.load(backend[4:]).build(seed=config.seed or 0)
     raise ValueError(f"unknown backend {backend!r} (use 'os' or 'sim:<scenario>')")
 
 
@@ -162,7 +156,7 @@ def build_sink(args, stream=None) -> EventSink:
 
 def _sweep(args, config):
     """One sweep on a fresh transport; returns it with the fingerprint."""
-    transport = build_transport(args, config)
+    transport = build_transport(args.backend, config)
     schedule = make_schedule(config, Prng(config.seed))
     return transport, full_sweep(config, transport, schedule)
 
@@ -216,7 +210,7 @@ def cmd_monitor(args, out) -> int:
     store = FingerprintStore(args.state_dir)
     if not store.has_trusted(config_digest(config)):
         raise NotFound("no trusted baseline for this config (run baseline first)")
-    transport = build_transport(args, config)
+    transport = build_transport(args.backend, config)
     sink = build_sink(args)
     stop = threading.Event()
     previous = {}
@@ -232,7 +226,7 @@ def cmd_monitor(args, out) -> int:
 
 
 def cmd_diff(args, out) -> int:
-    config = build_config(args) if (args.config or args.range) else None
+    config = build_config(args) if (args.config or args.address_range) else None
     try:
         # one file's bytes at a time, each dropped once parsed
         base, cur = (loads_fingerprint(Path(path).read_bytes())
@@ -281,10 +275,10 @@ def _print_peaks(counters, out) -> None:
 
 
 def cmd_simulate(args, out) -> int:
-    if not args.backend or not args.backend.startswith("sim:"):
-        args.backend = f"sim:{args.scenario}"
+    if args.backend is not None:
+        raise ValueError("simulate runs the scenario it names; --backend does not apply")
     config = build_config(args)
-    transport = build_transport(args, config)
+    transport = build_transport(f"sim:{args.scenario}", config)
     tags = set()
     with (nullcontext(args.state_dir) if args.state_dir
           else tempfile.TemporaryDirectory(prefix="edgemap-sim-")) as state_dir:
@@ -304,14 +298,15 @@ def cmd_simulate(args, out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--backend", help="os or sim:<scenario-file>")
-    parser.add_argument("--seed", type=int, help="fixed PRNG seed")
-    parser.add_argument("--range", help="IPv4 range a-b or CIDR")
-    parser.add_argument("--ports", help="port interval lo-hi")
+    parser.add_argument("--backend", default="os", help="os (default) or sim:<scenario-file>")
+    parser.add_argument("--seed", help="fixed PRNG seed")
+    parser.add_argument("--range", dest="address_range", help="IPv4 range a-b or CIDR")
+    parser.add_argument("--ports", dest="port_range", help="port interval lo-hi")
     parser.add_argument("--ping-delay", dest="ping_delay", help="e.g. 100ms")
     parser.add_argument("--port-delay", dest="port_delay", help="e.g. 100ms")
     parser.add_argument("--rescan-interval", dest="rescan_interval", help="e.g. 300s")
-    parser.add_argument("--syn", action="store_true", help="use SYN scanning")
+    parser.add_argument("--syn", dest="syn_scan", action="store_const", const="on",
+                        help="use SYN scanning")
     parser.add_argument("--sink", action="append",
                         help="stdout, file:<path> or udp:<host>:<port> (repeatable)")
     parser.add_argument("--node-id", dest="node_id", default="edgemap")
@@ -350,7 +345,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("fileA")
     p.add_argument("fileB")
     p.add_argument("--config", help="config file for anomaly thresholds")
-    p.add_argument("--range", help="IPv4 range (threshold config only)")
+    p.add_argument("--range", dest="address_range",
+                   help="IPv4 range (threshold config only)")
     p.add_argument("--format", choices=("human", "lines"), default="human")
     p.set_defaults(func=cmd_diff)
 
@@ -361,8 +357,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=2, help="monitoring sweeps to run")
     p.add_argument("--rates", choices=("full", "none"), default="full",
                    help="per-second packet rate table")
-    # unlike the live commands, simulation state is throwaway by default
-    p.set_defaults(func=cmd_simulate, state_dir=None)
+    # unlike the live commands, simulation state is throwaway by default, and
+    # the backend is always the scenario named
+    p.set_defaults(func=cmd_simulate, state_dir=None, backend=None)
     return parser
 
 

@@ -32,7 +32,6 @@ def _icmp_checksum(data: bytes) -> int:
 
 class OsNetwork(ProbeTransport):
     supports_arp = False
-    supports_raw_syn = False
 
     def __init__(self):
         self.clock = MonotonicClock()
@@ -144,5 +143,8 @@ class OsNetwork(ProbeTransport):
                     self.counters.record("banner_data", self.clock.now(), len(reply))
                     return reply
                 return None
+        except ConnectionRefusedError:
+            self.counters.record("tcp_rst", self.clock.now())
+            return None
         except (socket.timeout, OSError):
             return None

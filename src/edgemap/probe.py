@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import modbus
-from .errors import TransportDown
 from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, ScanConfig,
                     config_digest)
 from .transport import ProbeTransport
@@ -93,27 +92,22 @@ def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
                stop: StopFn = None) -> NetworkFingerprint:
     """One complete pass over the address range in schedule order.
 
-    A host that fails mid-scan is treated as Down and the sweep carries
-    on; only an explicit stop request interrupts it (SweepAborted).
+    A stop request interrupts it (SweepAborted).  A transport failure
+    ends it too, and reaches the caller as raised: a host the sweep could
+    not probe is never reported as absent.
     """
     clock = transport.clock
     started = clock.now()
     hosts = {}
     for addr in schedule.host_order:
-        try:
-            alive, samples = discover_host(addr, config, transport, stop)
-        except TransportDown:
-            continue
+        alive, samples = discover_host(addr, config, transport, stop)
         if alive is Alive.DOWN:
             continue
         ports, banners = {}, {}
         eligible = alive is Alive.UP or (alive is Alive.SILENT_UP and config.scan_silent_hosts)
         if eligible:
-            try:
-                ports, banners = scan_host_ports(addr, config, transport,
-                                                 schedule.port_order(addr), stop)
-            except TransportDown:
-                continue
+            ports, banners = scan_host_ports(addr, config, transport,
+                                             schedule.port_order(addr), stop)
         hosts[addr] = HostRecord(address=addr, alive=alive, rtt_samples=samples,
                                  ports=ports, banners=banners)
     return NetworkFingerprint(

@@ -64,10 +64,11 @@ def run_monitor(config: ScanConfig, transport, store, sink,
     Waits out the startup jitter, learns the trusted baseline if the
     store has none for this config, then sweeps every rescan interval and
     diffs each result against the trusted baseline.  Epochs are numbered
-    on from the highest one the store already holds.  Store or transport
-    trouble becomes an operational event and the loop carries on; only a
-    stop request (or the epoch budget, when set) ends it.  Returns the
-    number of epochs run; events leave only through the sink.
+    on from the highest one the store already holds.  A failed sweep (not
+    diffed, not stored) or store write becomes an operational event and
+    the loop carries on; only a stop request (or the epoch budget, when
+    set) ends it, or a failed baseline sweep, which leaves nothing trusted.
+    Returns the number of epochs run; events leave only through the sink.
     """
     clock = transport.clock
     rng = Prng(config.seed)
@@ -95,9 +96,8 @@ def run_monitor(config: ScanConfig, transport, store, sink,
                 f"open_ports={trusted.open_port_count()}"),
             epoch=0, ts=clock.now())
 
-    epoch = store.latest_epoch(digest) + 1
-    epochs_run = 0
-    while max_epochs is None or epochs_run < max_epochs:
+    first = epoch = store.latest_epoch(digest) + 1
+    while max_epochs is None or epoch - first < max_epochs:
         if _wait(clock, config.rescan_interval, stop):
             break
         schedule = make_schedule(config, rng)
@@ -109,19 +109,16 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             sink.emit_operational(
                 OperationalEvent(f"sweep failed: {exc}", Severity.WARNING),
                 epoch=epoch, ts=clock.now())
-            epoch += 1
-            epochs_run += 1
-            continue
-        events = diff(trusted, fp, config, epoch=epoch)
-        for event in events:
-            sink.emit_intrusion(event, ts=clock.now())
-        sink.end_epoch(events, epoch, ts=clock.now())
-        try:
-            store.save_epoch(fp, epoch)
-        except OSError as exc:
-            sink.emit_operational(
-                OperationalEvent(f"store write failed: {exc}", Severity.WARNING),
-                epoch=epoch, ts=clock.now())
+        else:
+            events = diff(trusted, fp, config, epoch=epoch)
+            for event in events:
+                sink.emit_intrusion(event, ts=clock.now())
+            sink.end_epoch(events, epoch, ts=clock.now())
+            try:
+                store.save_epoch(fp, epoch)
+            except OSError as exc:
+                sink.emit_operational(
+                    OperationalEvent(f"store write failed: {exc}", Severity.WARNING),
+                    epoch=epoch, ts=clock.now())
         epoch += 1
-        epochs_run += 1
-    return epochs_run
+    return epoch - first

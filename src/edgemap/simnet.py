@@ -23,7 +23,7 @@ from . import modbus
 from .errors import MalformedScript
 from .model import IPv4, PortState
 from .rng import Prng
-from .timebase import VirtualClock
+from .timebase import VirtualClock, format_duration
 from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
 
 # Looked up once: reading an Enum member off its class costs ~0.2 us in
@@ -145,10 +145,15 @@ class _HostState:
 
 
 class SimNetwork(ProbeTransport):
-    """Simulated-network probe transport with exact packet accounting."""
+    """Simulated-network probe transport with exact packet accounting.
+
+    The script is checked when the network is built: every action must
+    name a host present at its time, and an AddHost one that is absent.
+    Due actions are applied where host state is read, so an action at t
+    is in effect for every probe sent at or after t.
+    """
 
     supports_arp = True
-    supports_raw_syn = True
 
     def __init__(self, hosts=(), script: SimScript = SimScript(), seed: int = 0):
         self.clock = VirtualClock()
@@ -160,10 +165,22 @@ class SimNetwork(ProbeTransport):
             if int(spec.address) in self._hosts:
                 raise MalformedScript(f"duplicate initial host {spec.address}")
             self._hosts[int(spec.address)] = _HostState(spec)
+        present = set(self._hosts)
+        for action in script.actions:
+            adding = isinstance(action, AddHost)
+            address = action.spec.address if adding else action.address
+            if (int(address) in present) == adding:
+                raise MalformedScript(
+                    f"{type(action).__name__} at {format_duration(action.at)}: "
+                    f"host {address} is {'already present' if adding else 'absent'}")
+            if adding:
+                present.add(int(address))
+            elif isinstance(action, RemoveHost):
+                present.discard(int(address))
         self._script = script
         self._next_action = 0
+        self._due = script.actions[0].at if script.actions else math.inf
         self._prng = Prng(seed)
-        self.clock.on_advance(self._apply_due)
 
     # -- script handling ----------------------------------------------------
 
@@ -171,30 +188,23 @@ class SimNetwork(ProbeTransport):
         """Advance the virtual clock, applying all due script actions."""
         before = self._next_action
         self.clock.advance_to(until)
+        self._apply_due()
         return self._next_action - before
 
-    def _apply_due(self, now: int):
-        """Clock observer: apply the actions due by `now`, return the next
-        action's time (math.inf once the script is done)."""
-        actions = self._script.actions
+    def _apply_due(self) -> None:
+        """Apply the actions due by now; note when the next one is due."""
+        now, actions = self.clock.now(), self._script.actions
         while self._next_action < len(actions) and actions[self._next_action].at <= now:
             self._apply(actions[self._next_action])
             self._next_action += 1
-        if self._next_action < len(actions):
-            return actions[self._next_action].at
-        return math.inf
+        self._due = (actions[self._next_action].at if self._next_action < len(actions)
+                     else math.inf)
 
     def _apply(self, action: Action) -> None:
         if isinstance(action, AddHost):
-            key = int(action.spec.address)
-            if key in self._hosts:
-                raise MalformedScript(f"AddHost for existing address {action.spec.address}")
-            self._hosts[key] = _HostState(action.spec)
+            self._hosts[int(action.spec.address)] = _HostState(action.spec)
             return
-        host = self._hosts.get(int(action.address))
-        if host is None:
-            raise MalformedScript(
-                f"{type(action).__name__} references unknown address {action.address}")
+        host = self._hosts[int(action.address)]
         if isinstance(action, RemoveHost):
             del self._hosts[int(action.address)]
         elif isinstance(action, OpenPort):
@@ -209,8 +219,6 @@ class SimNetwork(ProbeTransport):
             host.icmp_echo_enabled = action.enabled
         elif isinstance(action, SetArp):
             host.arp_enabled = action.enabled
-        else:
-            raise MalformedScript(f"unknown action {action!r}")
 
     # -- probe primitives ---------------------------------------------------
 
@@ -221,6 +229,9 @@ class SimNetwork(ProbeTransport):
         return max(rtt, 1)
 
     def _reachable(self, target: IPv4) -> Optional[_HostState]:
+        """The host answering at `target` now; no probe reads host state before this."""
+        if self.clock.now() >= self._due:
+            self._apply_due()
         host = self._hosts.get(int(target))
         if host is None or not host.arp_enabled:
             return None

@@ -7,7 +7,6 @@ clock objects below so the simulated backend can run on virtual time.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 
@@ -30,22 +29,12 @@ class MonotonicClock:
 
 
 class VirtualClock:
-    """Discrete simulation clock. sleep() is an instantaneous advance.
-
-    One observer (the simulated network) can register a callback so that
-    timed scenario actions fire in order.  The callback takes the new time
-    and returns its next wake time: the earliest time at which it has work
-    (math.inf for none).  The clock calls it at the first advance that
-    reaches its wake time, never before; a new observer wakes at the next
-    advance.  Most advances thus cost a comparison, not a call.
-    """
+    """Discrete simulation clock. sleep() is an instantaneous advance."""
 
     is_virtual = True
 
     def __init__(self, start: int = 0):
         self._now = start
-        self._on_advance = None
-        self._wake = math.inf
 
     def now(self) -> int:
         return self._now
@@ -59,12 +48,6 @@ class VirtualClock:
         if when < self._now:
             raise ValueError(f"clock cannot move backwards ({self._now} -> {when})")
         self._now = when
-        if when >= self._wake:
-            self._wake = self._on_advance(when)
-
-    def on_advance(self, callback) -> None:
-        self._on_advance = callback
-        self._wake = self._now
 
 
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(us|ms|s|min)\s*$")

@@ -132,7 +132,6 @@ class ProbeTransport:
     """
 
     supports_arp: bool = False
-    supports_raw_syn: bool = False
     clock: object                # the backend's scan clock (timebase)
     counters: PacketCounters
 

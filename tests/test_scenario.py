@@ -80,6 +80,8 @@ def test_build_returns_working_network():
     ("host 10.0.0.1\nat 2s remove-host 10.0.0.1\nat 1s set-arp 10.0.0.1 off\n",
      "non-decreasing"),
     ('host 10.0.0.1 port=22:"unterminated\n', "line 1"),
+    ("host 10.0.0.1\nhost 10.0.0.1\n", "line 2"),
+    ("host 10.0.0.1\nat 1s close-port 10.0.0.1 abc\n", "line 2"),
 ])
 def test_malformed_inputs_name_the_line(text, fragment):
     with pytest.raises(MalformedScript) as excinfo:

@@ -1,8 +1,10 @@
 import ipaddress
+import math
 import tracemalloc
 
 import pytest
 
+from edgemap.errors import TransportDown
 from edgemap.model import AddressRange, EventKind
 from edgemap.rng import Prng
 from edgemap.scheduler import make_schedule, run_monitor
@@ -76,9 +78,21 @@ def intrusions(lines):
     return [f for f in map(parse_line, lines) if f["kind"] != "Operational"]
 
 
-def make_parts(tmp_path, script=SimScript(), cfg=None, hook=None, triggers=frozenset()):
+class IcmpGone(SimNetwork):
+    """A network whose ICMP socket goes away at `down_at` on the scan clock."""
+
+    down_at = math.inf
+
+    def icmp_ping(self, target, timeout):
+        if self.clock.now() >= self.down_at:
+            raise TransportDown("no ICMP socket available")
+        return super().icmp_ping(target, timeout)
+
+
+def make_parts(tmp_path, script=SimScript(), cfg=None, hook=None, triggers=frozenset(),
+               net_cls=SimNetwork):
     cfg = cfg or small_config()
-    net = SimNetwork(base_specs(), script, seed=cfg.seed)
+    net = net_cls(base_specs(), script, seed=cfg.seed)
     store = RecordingStore(tmp_path / "state")
     lines = []
 
@@ -162,6 +176,22 @@ class TestRunMonitor:
         assert run_monitor(cfg, net, store, sink, max_epochs=1) == 1
         assert intrusions(lines) == []
         assert any("sweep failed" in line for line in lines)
+
+    def test_lost_transport_fails_the_sweep_not_the_hosts(self, tmp_path):
+        cfg, net, store, sink, lines = make_parts(tmp_path, net_cls=IcmpGone)
+        net.down_at = 40 * SEC  # after the baseline sweep, before epoch 1's
+        assert run_monitor(cfg, net, store, sink, max_epochs=1) == 1
+        assert len(store.load_trusted(config_digest(cfg)).hosts) == 2
+        assert intrusions(lines) == []
+        assert sum("sweep failed" in line for line in lines) == 1
+        assert [n for n in store.written if "epoch" in n] == []
+
+    def test_lost_transport_in_the_baseline_sweep_trusts_nothing(self, tmp_path):
+        cfg, net, store, sink, _ = make_parts(tmp_path, net_cls=IcmpGone)
+        net.down_at = 5 * SEC  # mid-way through the baseline sweep
+        with pytest.raises(TransportDown):
+            run_monitor(cfg, net, store, sink, max_epochs=1)
+        assert store.written == []
 
     def test_virtual_time_progression(self, tmp_path):
         cfg, net, store, sink, _ = make_parts(

@@ -215,9 +215,15 @@ class TestScript:
                        RemoveHost(SEC, self.addr(1))))
 
     def test_unknown_address_in_action_fails(self):
-        net = SimNetwork([], SimScript((RemoveHost(SEC, self.addr(9)),)))
-        with pytest.raises(MalformedScript):
-            net.simnet_advance(SEC)
+        """The script is checked when the network is built, before any probe."""
+        host = SimHostSpec(address=self.addr(1))
+        for actions in [
+            (RemoveHost(SEC, self.addr(9)),),                # no host there, ever
+            (AddHost(SEC, SimHostSpec(address=self.addr(1))),),   # already present
+            (RemoveHost(SEC, host.address), SetArp(2 * SEC, host.address, False)),
+        ]:
+            with pytest.raises(MalformedScript):
+                SimNetwork([host], SimScript(actions))
 
     def test_duplicate_initial_host_rejected(self):
         spec = SimHostSpec(address=self.addr(1))

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from edgemap.timebase import (MonotonicClock, VirtualClock, format_duration,
@@ -51,26 +49,6 @@ class TestVirtualClock:
             clock.advance_to(99)
         with pytest.raises(ValueError):
             clock.sleep(-1)
-
-    def test_on_advance_callback_sees_new_time(self):
-        """The observer runs at the first advance that reaches its wake time,
-        never before, and what it returns is its next wake time."""
-        clock = VirtualClock()
-        seen = []
-        wakes = iter([10, 25, math.inf])
-
-        def observer(now):
-            seen.append(now)
-            return next(wakes)
-
-        clock.on_advance(observer)
-        clock.advance_to(3)        # a new observer wakes at the next advance
-        clock.advance_to(9)        # short of its wake time, 10
-        clock.sleep(1)             # reaches 10 exactly
-        clock.advance_to(24)
-        clock.advance_to(30)       # passes 25
-        clock.advance_to(10**12)   # inf: never again
-        assert seen == [3, 10, 30]
 
 
 def test_monotonic_clock_moves_forward():

@@ -143,7 +143,7 @@ class TestContract:
 
     def test_syn_capability_is_honest(self, harness):
         transport = harness.transport
-        if transport.supports_raw_syn:
+        if isinstance(transport, SimNetwork):  # the OS backend runs unprivileged
             probe = transport.tcp_syn(harness.addr, harness.banner_port, 2 * SEC)
             assert probe.state is PortState.OPEN
         else:
@@ -187,3 +187,4 @@ class TestContract:
         reply = harness.transport.tcp_exchange(
             harness.addr, harness.closed_port, b"hello?", 2 * SEC)
         assert reply is None
+        assert harness.transport.counters.counts["tcp_rst"] == 1  # the refusal
