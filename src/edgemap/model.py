@@ -123,13 +123,16 @@ def config_digest(config: ScanConfig) -> int:
 
     Two fingerprints may only be diffed when these fields match: the swept
     address range, the port interval, and the banner collection settings.
-    Timing knobs and the PRNG seed deliberately do not contribute.
+    Banners count as grabbed only when they are: a SYN scan reads none, so
+    it never shares a digest with a connect scan that grabs them, and the
+    banner size cap counts only when banners are grabbed.  Timing knobs and
+    the PRNG seed deliberately do not contribute.
     """
+    grabbed = config.banner_grab and not config.syn_scan
     canon = "|".join([
         str(config.address_range),
         f"{config.port_range[0]}-{config.port_range[1]}",
-        "b1" if config.banner_grab else "b0",
-        str(config.banner_max_bytes),
+        f"b1|{config.banner_max_bytes}" if grabbed else "b0",
     ])
     h = hashlib.sha256(canon.encode("ascii")).digest()
     return int.from_bytes(h[:8], "big")

@@ -1,6 +1,6 @@
 """Declarative scenario files for the simulated network.
 
-Line-oriented format, shell-style tokenization, '#' comments:
+Line-oriented format, '#' comments:
 
     host <ip> [arp=on|off] [icmp=on|off] [rtt=<dur>] [jitter=<dur>]
               [mac=aa:bb:cc:dd:ee:ff] [port=<n>[:<banner>]]...
@@ -20,16 +20,19 @@ actions with non-decreasing times.  Durations use unit suffixes
 Banners may be double-quoted and use \\r \\n \\t \\\\ escapes.  A bad
 line fails the whole load, naming its number.  One canonical file per
 evaluated attack scenario ships in scenarios/.
+
+A line splits into tokens by POSIX shell word rules with '#' comments;
+`edgemap.shellwords` states them.
 """
 
 from __future__ import annotations
 
 import codecs
 import ipaddress
-import shlex
 from dataclasses import dataclass
 
 from .errors import MalformedScript
+from .shellwords import split_line
 from .simnet import (AddHost, ClosePort, OpenPort, RemoveHost, SetArp,
                      SetIcmpEcho, SetLatencyFactor, SimHostSpec, SimNetwork,
                      SimScript)
@@ -88,7 +91,7 @@ def _parse_host_spec(addr_token: str, kv_tokens) -> SimHostSpec:
             port_text, _, banner_text = value.partition(":")
             open_ports[int(port_text)] = _unescape(banner_text) if banner_text else None
         elif key == "filtered":
-            filtered.update(int(p) for p in value.split(",") if p)
+            filtered.update(map(int, filter(None, value.split(","))))
         elif key == "modbus":
             vendor, product, revision = value.split(",")
             kwargs["modbus_identity"] = {0: vendor, 1: product, 2: revision}
@@ -138,7 +141,7 @@ def loads(text: str) -> Scenario:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # every bad token, value or line shape is a ValueError named here
         try:
-            tokens = shlex.split(raw, comments=True)
+            tokens = split_line(raw)
             if not tokens:
                 continue
             if tokens[0] == "host":

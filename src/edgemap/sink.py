@@ -1,26 +1,26 @@
 """Event delivery to operators and centralized loggers.
 
 One structured text line per event: space-separated key=value pairs,
-values quoted when they contain whitespace.  The same line goes to every
-configured output; UDP datagrams are fire-and-forget and capped at 512
-bytes by truncating values, never keys.
+each value a POSIX shell word (quoted when it holds anything but ASCII
+letters, digits and `_@%+=:,./-`), so the line splits back by the
+`edgemap.shellwords` rules.  The same line goes to every configured
+output; UDP datagrams are fire-and-forget and capped at 512 bytes by
+truncating values, never keys.
 """
 
 from __future__ import annotations
 
-import shlex
 import socket
 import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
+from shlex import quote
 from typing import Optional
 
 from .model import KIND_BY_WIRE, IntrusionEvent
+from .shellwords import split_line
 
 UDP_MAX_BYTES = 512
-
-_BARE_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                 "0123456789._:/-")
 
 
 class Severity(IntEnum):
@@ -44,15 +44,9 @@ class DeliveryReport:
     error: str = ""
 
 
-def _quote(value: str) -> str:
-    if value and all(c in _BARE_SAFE for c in value):
-        return value
-    return shlex.quote(value) if value else "''"
-
-
 def format_line(node_id: str, epoch: int, ts: int, fields) -> str:
-    parts = [f"node={_quote(node_id)}", f"epoch={epoch}", f"ts={ts}"]
-    parts += [f"{key}={_quote(str(value))}" for key, value in fields]
+    parts = [f"node={quote(node_id)}", f"epoch={epoch}", f"ts={ts}"]
+    parts += [f"{key}={quote(str(value))}" for key, value in fields]
     return " ".join(parts)
 
 
@@ -74,7 +68,7 @@ def format_operational(node_id: str, epoch: int, ts: int, event: OperationalEven
 def parse_line(line: str) -> dict:
     """Parse an event line back into a key -> value dict."""
     out = {}
-    for token in shlex.split(line):
+    for token in split_line(line):
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"token {token!r} is not key=value")

@@ -145,7 +145,9 @@ class FingerprintStore:
 
     At most one trusted record exists per config digest and it is never
     overwritten; re-baselining is an explicit delete by the operator.
-    Writes go through a temp file and atomic rename.
+    Writes go through a temp file and atomic rename.  Only the trusted
+    record is fsynced: a torn epoch file fails its CRC and loads as
+    CorruptRecord, never as a wrong fingerprint.
     """
 
     def __init__(self, directory):
@@ -158,10 +160,26 @@ class FingerprintStore:
     def _epoch_path(self, digest: int, epoch: int) -> Path:
         return self.directory / f"{digest:016x}.epoch{epoch:06d}.fp"
 
-    def _write(self, path: Path, fp: NetworkFingerprint) -> None:
+    def _write(self, path: Path, fp: NetworkFingerprint, durable: bool = False) -> None:
+        """Write through a temp file and a rename.
+
+        A durable write also fsyncs the temp file before the rename and the
+        directory after it, so a power cut leaves the old record or the new
+        one, never an empty file.
+        """
         tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(dumps_fingerprint(fp))
+        with open(tmp, "wb") as fh:
+            fh.write(dumps_fingerprint(fp))
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
+        if durable:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def save_trusted(self, fp: NetworkFingerprint) -> None:
         if not fp.trusted:
@@ -170,7 +188,7 @@ class FingerprintStore:
         if path.exists():
             raise TrustedAlreadyExists(
                 f"trusted fingerprint already stored for digest {fp.config_digest:016x}")
-        self._write(path, fp)
+        self._write(path, fp, durable=True)
 
     def save_epoch(self, fp: NetworkFingerprint, epoch: int) -> None:
         self._write(self._epoch_path(fp.config_digest, epoch), fp)

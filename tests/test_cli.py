@@ -74,6 +74,17 @@ class TestBaselineAndMonitor:
     def test_monitor_without_baseline_is_exit_4(self, ws):
         assert run(["monitor", "--epochs", "1"] + common(ws))[0] == 4
 
+    def test_syn_monitor_has_no_connect_scan_baseline(self, ws):
+        # a SYN scan reads no banners: held against a connect-scan baseline,
+        # every banner would read as changed
+        (ws / "added.scn").write_text(BASE_SCN + "host 10.0.0.3 port=7\n")
+        _baseline(ws)
+        log = ws / "events.log"
+        code, _ = run(["monitor", "--syn", "--epochs", "1", "--sink", f"file:{log}"]
+                      + common(ws, "added.scn"))
+        assert code == 4
+        assert not log.exists()
+
 
 class TestScan:
     def test_scan_prints_hosts_and_writes_fingerprint(self, ws):
@@ -138,6 +149,11 @@ class TestDiff:
         a = self.fingerprint(ws, "a.fp", "net.scn")
         (ws / "junk.fp").write_bytes(b"not a fingerprint\n")
         assert run(["diff", str(a), str(ws / "junk.fp")])[0] == 5
+
+    def test_syn_and_connect_scans_are_incomparable(self, ws):
+        a = self.fingerprint(ws, "a.fp", "net.scn")
+        b = self.fingerprint(ws, "syn.fp", "net.scn", extra=["--syn"])
+        assert run(["diff", str(a), str(b)]) == (5, "")
 
     def test_missing_file_exit_5(self, ws):
         a = self.fingerprint(ws, "a.fp", "net.scn")

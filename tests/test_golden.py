@@ -56,9 +56,10 @@ SIMULATE_SHA256 = {
          "epoch000002": "67414df426440e43b2bbcc84cbe7112475c80d5ddf2abf6689e628204d9338cc"}),
     "peak-syn.scn": (
         "81f748c4fe94aed4d713e715a9754c153d76cc26f584ae394ae995136ff64bec",
-        {"trusted": "e184fb57439612b4375454ac167108238f8b4bf6c43c6099d6bd65019b2667b5",
-         "epoch000001": "dd76dd7a074315ce6248d1c054d111807652f8210f116acfe239e6cf6a6394e8",
-         "epoch000002": "abb1892d41566650a4cea2d3017f142534c4e50b2ce9d7896e6032428127a742"}),
+        # a SYN scan grabs no banners, and its config digest says so
+        {"trusted": "47ffc37deb86ff40032f1de239dc6248207e18b45b82fd50333c0d605400eb17",
+         "epoch000001": "81dc0a4c4c7c1c7adfd0d26f403110c6f280b3246ba4155a094f91a702b6425c",
+         "epoch000002": "6b721f547e0528a3528199578b6e14ed3fbe6cfe588553a1ee6755d61382c268"}),
     "rates-10host.scn": (
         "d598817bbfa2eb28f034bd0d5539472e6fa036f5c4ecf003e04e55e348efdb8b",
         {"trusted": "a1000c7c1ce6ac0963419d971b443c3e00492657c319d7cd3775b833f1021827",

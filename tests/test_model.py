@@ -77,17 +77,16 @@ class TestScanConfig:
 
 class TestConfigDigest:
     def oracle(self, c):
-        canon = "|".join([
-            str(c.address_range),
-            f"{c.port_range[0]}-{c.port_range[1]}",
-            "b1" if c.banner_grab else "b0",
-            str(c.banner_max_bytes),
-        ])
+        grabbed = c.banner_grab and not c.syn_scan
+        fields = [str(c.address_range), f"{c.port_range[0]}-{c.port_range[1]}"]
+        fields += ["b1", str(c.banner_max_bytes)] if grabbed else ["b0"]
+        canon = "|".join(fields)
         return int.from_bytes(hashlib.sha256(canon.encode()).digest()[:8], "big")
 
     def test_matches_independent_recomputation(self):
-        c = small_config()
-        assert config_digest(c) == self.oracle(c)
+        for c in (small_config(), small_config(syn_scan=True),
+                  small_config(banner_grab=False)):
+            assert config_digest(c) == self.oracle(c)
 
     def test_comparability_fields_change_digest(self):
         base = config_digest(small_config())
@@ -96,13 +95,21 @@ class TestConfigDigest:
             address_range=AddressRange.parse("10.0.0.1-10.0.0.7"))) != base
         assert config_digest(small_config(banner_grab=False)) != base
         assert config_digest(small_config(banner_max_bytes=64)) != base
+        # a SYN scan grabs no banners, whatever banner_grab says
+        assert config_digest(small_config(syn_scan=True)) != base
+        assert config_digest(small_config(syn_scan=True)) == config_digest(
+            small_config(syn_scan=True, banner_grab=False))
+
+    def test_banner_cap_counts_only_when_banners_are_grabbed(self):
+        for no_banners in ({"syn_scan": True}, {"banner_grab": False}):
+            assert config_digest(small_config(**no_banners)) == config_digest(
+                small_config(banner_max_bytes=64, **no_banners))
 
     def test_timing_and_seed_do_not_change_digest(self):
         base = config_digest(small_config())
         assert config_digest(small_config(seed=99)) == base
         assert config_digest(small_config(ping_delay=5, port_delay=5)) == base
         assert config_digest(small_config(rescan_interval=1)) == base
-        assert config_digest(small_config(syn_scan=True)) == base
 
 
 class TestHostRecord:

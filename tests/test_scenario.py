@@ -82,6 +82,8 @@ def test_build_returns_working_network():
     ('host 10.0.0.1 port=22:"unterminated\n', "line 1"),
     ("host 10.0.0.1\nhost 10.0.0.1\n", "line 2"),
     ("host 10.0.0.1\nat 1s close-port 10.0.0.1 abc\n", "line 2"),
+    ('host 10.0.0.1\nhost 10.0.0.2 port=22:"unclosed\n', "line 2: no closing quotation"),
+    ("host 10.0.0.1\nhost 10.0.0.2 \\\n", "line 2: no escaped character"),
 ])
 def test_malformed_inputs_name_the_line(text, fragment):
     with pytest.raises(MalformedScript) as excinfo:

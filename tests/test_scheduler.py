@@ -69,8 +69,8 @@ class RecordingStore(FingerprintStore):
         super().__init__(directory)
         self.written = []
 
-    def _write(self, path, fp):
-        super()._write(path, fp)
+    def _write(self, path, fp, **kwargs):
+        super()._write(path, fp, **kwargs)
         self.written.append(path.name)
 
 

@@ -3,12 +3,13 @@ import ipaddress
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgemap.model import EventKind, IntrusionEvent
 from edgemap.sink import (EventSink, FileOutput, OperationalEvent,
                           StdoutOutput, UdpOutput, format_intrusion,
-                          format_operational, parse_intrusion, parse_line,
-                          _fit_udp)
+                          format_line, format_operational, parse_intrusion,
+                          parse_line, _fit_udp)
 
 A = ipaddress.IPv4Address
 
@@ -45,6 +46,11 @@ class TestLineFormat:
                    observed_value="'evil shell'")
         line = format_intrusion("n", 3, 0, event)
         assert parse_intrusion(line) == event
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(alphabet="\"'\\# =_@%+,./:-aZ9\t\n\xe9", max_size=16))
+    def test_any_value_parses_back(self, value):
+        assert parse_line(format_line("n", 1, 2, [("v", value)]))["v"] == value
 
     def test_parse_rejects_non_kv_tokens(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import dataclasses
 import ipaddress
+import os
 import random
+import stat
 import zlib
 
 import pytest
@@ -179,3 +181,14 @@ class TestFingerprintStore:
         store.save_trusted(sample_fp(trusted=True))
         store.save_epoch(sample_fp(), 1)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_only_the_trusted_record_is_synced(self, tmp_path, monkeypatch):
+        # the trusted file and then its directory entry; an epoch file's CRC
+        # trailer already turns a torn write into CorruptRecord
+        synced = []
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd).st_mode))
+        store = FingerprintStore(tmp_path)
+        store.save_trusted(sample_fp(trusted=True))
+        assert [stat.S_IFMT(mode) for mode in synced] == [stat.S_IFREG, stat.S_IFDIR]
+        store.save_epoch(sample_fp(), 1)
+        assert len(synced) == 2
