@@ -17,10 +17,6 @@ class MalformedScript(EdgemapError):
     """A simulation scenario file or action sequence is invalid."""
 
 
-class MalformedResponse(EdgemapError):
-    """A protocol reply had valid framing but corrupt content."""
-
-
 class IncomparableFingerprints(EdgemapError):
     """Two fingerprints were taken under incompatible scan configs."""
 

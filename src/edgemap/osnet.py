@@ -2,14 +2,18 @@
 
 Runs without raw-socket privilege, so there is no ARP probing and no
 half-open SYN scan here; discovery degrades to ICMP-only and SYN scan
-requests fail loudly with CapabilityUnsupported.  Packet counters are
-filled from the socket behavior we can observe (one entry per message of
-the probe sequence), which keeps rate assertions meaningful even though
-the kernel owns the actual wire traffic.
+requests fail loudly with CapabilityUnsupported.  A socket error that
+says the local network or the socket itself is gone raises TransportDown;
+an unreachable or down host, or a timeout, is an observed absence.
+
+Packet counters are filled from the socket behavior we can observe (one
+entry per message of the probe sequence), which keeps rate assertions
+meaningful even though the kernel owns the actual wire traffic.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import socket
 import struct
@@ -19,6 +23,9 @@ from .errors import CapabilityUnsupported, TransportDown
 from .model import IPv4, PortState
 from .timebase import MonotonicClock, SECOND
 from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
+
+# errnos about this node's network or socket, not about the target
+_TRANSPORT_ERRNOS = frozenset({errno.ENETDOWN, errno.ENETUNREACH, errno.EBADF, errno.ENOBUFS})
 
 
 def _icmp_checksum(data: bytes) -> int:
@@ -70,7 +77,9 @@ class OsNetwork(ProbeTransport):
                     if self._echo_reply_matches(data, self._icmp_seq):
                         self.counters.record("icmp_reply", now)
                         return ProbeReply(True, now - t0)
-            except (socket.timeout, OSError):
+            except OSError as exc:  # socket.timeout included
+                if exc.errno in _TRANSPORT_ERRNOS:
+                    raise TransportDown(f"ICMP echo to {target}: {exc}") from exc
                 return ProbeReply(False)
 
     @staticmethod
@@ -96,8 +105,10 @@ class OsNetwork(ProbeTransport):
             self.counters.record("tcp_rst", now)
             sock.close()
             return PortProbe(PortState.CLOSED, rtt=now - t0)
-        except (socket.timeout, OSError):
+        except OSError as exc:  # socket.timeout included
             sock.close()
+            if exc.errno in _TRANSPORT_ERRNOS:
+                raise TransportDown(f"connect to {target}:{port}: {exc}") from exc
             return PortProbe(PortState.FILTERED)
         now = self.clock.now()
         rtt = now - t0
@@ -124,27 +135,3 @@ class OsNetwork(ProbeTransport):
 
     def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
         raise CapabilityUnsupported("OS backend runs unprivileged; SYN scan unavailable")
-
-    def tcp_exchange(self, target: IPv4, port: int, payload: bytes,
-                     timeout: int) -> Optional[bytes]:
-        t0 = self.clock.now()
-        self.counters.record("tcp_syn", t0)
-        try:
-            with socket.create_connection((str(target), port), timeout / SECOND) as sock:
-                now = self.clock.now()
-                self.counters.record("tcp_synack", now)
-                self.counters.record("tcp_ack", now)
-                sock.settimeout(timeout / SECOND)
-                sock.sendall(payload)
-                self.counters.record("banner_data", self.clock.now(), len(payload))
-                reply = sock.recv(4096)
-                self.counters.record("tcp_rst", self.clock.now())
-                if reply:
-                    self.counters.record("banner_data", self.clock.now(), len(reply))
-                    return reply
-                return None
-        except ConnectionRefusedError:
-            self.counters.record("tcp_rst", self.clock.now())
-            return None
-        except (socket.timeout, OSError):
-            return None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from . import modbus
 from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, ScanConfig,
                     config_digest)
 from .transport import ProbeTransport
@@ -113,22 +112,3 @@ def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
     return NetworkFingerprint(
         started_at=started, finished_at=clock.now(),
         config_digest=config_digest(config), hosts=hosts, trusted=False)
-
-
-def modbus_identify(target: IPv4, transport: ProbeTransport,
-                    port: int = 502, timeout: int = 1_000_000):
-    """Read the Basic device identification objects over Modbus/TCP.
-
-    Returns an object-id -> string map, or None when the service does not
-    speak device identification (garbage reply, Modbus exception, or no
-    reply at all).  Structurally corrupt identification responses raise
-    MalformedResponse instead of being silently dropped.
-    """
-    request = modbus.build_device_id_request(tid=1, unit=1)
-    reply = transport.tcp_exchange(target, port, request, timeout)
-    if reply is None:
-        return None
-    try:
-        return modbus.parse_device_id_response(reply)
-    except ValueError:
-        return None

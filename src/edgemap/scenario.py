@@ -3,8 +3,7 @@
 Line-oriented format, '#' comments:
 
     host <ip> [arp=on|off] [icmp=on|off] [rtt=<dur>] [jitter=<dur>]
-              [mac=aa:bb:cc:dd:ee:ff] [port=<n>[:<banner>]]...
-              [filtered=<n>[,<n>...]] [modbus=<vendor>,<product>,<revision>]
+              [port=<n>[:<banner>]]... [filtered=<n>[,<n>...]]
 
     at <time> remove-host <ip>
     at <time> add-host <ip> [host keys...]
@@ -85,16 +84,11 @@ def _parse_host_spec(addr_token: str, kv_tokens) -> SimHostSpec:
             kwargs["base_rtt"] = parse_duration(value)
         elif key == "jitter":
             kwargs["rtt_jitter"] = parse_duration(value)
-        elif key == "mac":
-            kwargs["mac"] = bytes(int(b, 16) for b in value.split(":"))
         elif key == "port":
             port_text, _, banner_text = value.partition(":")
             open_ports[int(port_text)] = _unescape(banner_text) if banner_text else None
         elif key == "filtered":
             filtered.update(map(int, filter(None, value.split(","))))
-        elif key == "modbus":
-            vendor, product, revision = value.split(",")
-            kwargs["modbus_identity"] = {0: vendor, 1: product, 2: revision}
         else:
             raise ValueError(f"unknown host key {key!r}")
     return SimHostSpec(open_ports=open_ports, filtered_ports=frozenset(filtered), **kwargs)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from . import modbus
 from .errors import MalformedScript
 from .model import IPv4, PortState
 from .rng import Prng
@@ -39,22 +38,18 @@ class SimHostSpec:
     """Declarative behavior of one simulated host."""
 
     address: IPv4
-    mac: bytes = b"\x02\x00\x00\x00\x00\x00"
     arp_enabled: bool = True
     icmp_echo_enabled: bool = True
     open_ports: dict = field(default_factory=dict)   # port -> banner bytes or None
     filtered_ports: frozenset = frozenset()
     base_rtt: int = 500
     rtt_jitter: int = 0
-    modbus_identity: Optional[dict] = None           # object id -> string
 
     def __post_init__(self):
         if self.base_rtt <= 0:
             raise ValueError("base_rtt must be positive")
         if self.rtt_jitter < 0:
             raise ValueError("rtt_jitter cannot be negative")
-        if len(self.mac) != 6:
-            raise ValueError("mac must be 6 bytes")
         overlap = set(self.open_ports) & set(self.filtered_ports)
         if overlap:
             raise ValueError(f"ports cannot be both open and filtered: {sorted(overlap)}")
@@ -141,7 +136,6 @@ class _HostState:
         self.base_rtt = spec.base_rtt
         self.rtt_jitter = spec.rtt_jitter
         self.latency_factor = 1.0
-        self.modbus_identity = dict(spec.modbus_identity) if spec.modbus_identity else None
 
 
 class SimNetwork(ProbeTransport):
@@ -308,27 +302,3 @@ class SimNetwork(ProbeTransport):
             return PortProbe(_OPEN, banner[:banner_max], rtt)
         self._reset(t0 + rtt)
         return probe
-
-    def tcp_exchange(self, target: IPv4, port: int, payload: bytes,
-                     timeout: int) -> Optional[bytes]:
-        probe = self._syn(target, port, timeout)
-        if probe.state is not _OPEN:
-            return None
-        t0, rtt = self.clock.now(), probe.rtt
-        self.counters.record("tcp_ack", t0 + rtt)
-        self.counters.record("banner_data", t0 + rtt, len(payload))
-        reply = self._answer(self._hosts[int(target)], port, payload)
-        if reply is not None:
-            self.counters.record("banner_data", t0 + 2 * rtt, len(reply))
-        self._reset(t0 + 2 * rtt)
-        return reply
-
-    def _answer(self, host: _HostState, port: int, payload: bytes) -> Optional[bytes]:
-        if host.modbus_identity is not None:
-            try:
-                tid, unit = modbus.parse_device_id_request(payload)
-            except Exception:
-                return None
-            return modbus.build_device_id_response(tid, unit, host.modbus_identity)
-        # a non-Modbus service just talks its banner back
-        return host.open_ports[port]

@@ -128,16 +128,16 @@ def _fit_udp(line: str) -> bytes:
     payload = line.encode("utf-8")
     if len(payload) <= UDP_MAX_BYTES:
         return payload
-    # shave the longest values first; keys always survive
-    tokens = line.split(" ")
-    while len(" ".join(tokens).encode("utf-8")) > UDP_MAX_BYTES:
-        idx = max(range(len(tokens)), key=lambda i: len(tokens[i]))
-        key, sep, value = tokens[idx].partition("=")
-        if not sep or len(value) <= 4:
-            tokens = tokens[:-1]
-            continue
-        tokens[idx] = f"{key}={value[:len(value) // 2]}"
-    return " ".join(tokens).encode("utf-8")
+    # halve the longest value and quote it again, so the datagram still
+    # parses; keys always survive
+    fields = parse_line(line)
+    while True:
+        payload = " ".join(f"{key}={quote(value)}"
+                           for key, value in fields.items()).encode("utf-8")
+        longest = max(fields, key=lambda key: len(fields[key]))
+        if len(payload) <= UDP_MAX_BYTES or not fields[longest]:
+            return payload
+        fields[longest] = fields[longest][:len(fields[longest]) // 2]
 
 
 @dataclass

@@ -147,8 +147,3 @@ class ProbeTransport:
 
     def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
         raise CapabilityUnsupported("backend cannot send raw SYN probes")
-
-    def tcp_exchange(self, target: IPv4, port: int, payload: bytes,
-                     timeout: int) -> Optional[bytes]:
-        """Connect, send payload, return the reply bytes (None if nothing came)."""
-        raise NotImplementedError

@@ -3,7 +3,6 @@ import ipaddress
 import pytest
 
 from edgemap import probe
-from edgemap.errors import MalformedResponse
 from edgemap.model import Alive, PortState, config_digest
 from edgemap.scheduler import make_schedule
 from edgemap.rng import Prng
@@ -150,31 +149,3 @@ class TestFullSweep:
 
         with pytest.raises(probe.SweepAborted):
             probe.full_sweep(cfg, net, schedule, stop=stop)
-
-
-class TestModbusIdentify:
-    IDENTITY = {0: "Acme", 1: "PLC-1", 2: "v3"}
-
-    def test_identified_device(self):
-        net = net_with(spec(1, open_ports={502: None}, modbus_identity=self.IDENTITY))
-        assert probe.modbus_identify(A("10.0.0.1"), net) == self.IDENTITY
-
-    def test_closed_port_means_none(self):
-        net = net_with(spec(1))
-        assert probe.modbus_identify(A("10.0.0.1"), net) is None
-
-    def test_non_modbus_service_means_none(self):
-        net = net_with(spec(1, open_ports={502: b"220 ftp ready\r\n"}))
-        assert probe.modbus_identify(A("10.0.0.1"), net) is None
-
-    def test_corrupt_identity_reply_raises(self, monkeypatch):
-        net = net_with(spec(1, open_ports={502: None}, modbus_identity=self.IDENTITY))
-        from edgemap import modbus
-        good = modbus.build_device_id_response(1, 1, self.IDENTITY)
-        # chop inside the object table but keep the MBAP length consistent
-        body = good[7:-2]
-        bad = good[:4] + (len(body) + 1).to_bytes(2, "big") + good[6:7] + body
-        monkeypatch.setattr(net, "tcp_exchange",
-                            lambda *args, **kw: bad)
-        with pytest.raises(MalformedResponse):
-            probe.modbus_identify(A("10.0.0.1"), net)

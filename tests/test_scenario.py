@@ -16,16 +16,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def test_host_line_full_form():
     sc = scenario.loads(
         'host 10.0.0.1 arp=on icmp=off rtt=2ms jitter=100us '
-        'mac=aa:bb:cc:dd:ee:ff port=22:"SSH-2.0 hi\\r\\n" port=80 '
-        'filtered=23,24 modbus=Acme,PLC,v1\n')
+        'port=22:"SSH-2.0 hi\\r\\n" port=80 filtered=23,24\n')
     (spec,) = sc.hosts
     assert spec.address == A("10.0.0.1")
     assert spec.arp_enabled and not spec.icmp_echo_enabled
     assert spec.base_rtt == 2000 and spec.rtt_jitter == 100
-    assert spec.mac == bytes.fromhex("aabbccddeeff")
     assert spec.open_ports == {22: b"SSH-2.0 hi\r\n", 80: None}
     assert spec.filtered_ports == frozenset({23, 24})
-    assert spec.modbus_identity == {0: "Acme", 1: "PLC", 2: "v1"}
 
 
 def test_comments_and_blank_lines_ignored():
@@ -70,6 +67,8 @@ def test_build_returns_working_network():
     ("host\n", "line 1"),
     ("host 10.0.0.999\n", "bad IPv4"),
     ("host 10.0.0.1 bogus=1\n", "unknown host key"),
+    ("host 10.0.0.1 mac=02:00:00:00:00:01\n", "unknown host key"),
+    ("host 10.0.0.1 modbus=Acme,PLC,v1\n", "unknown host key"),
     ("host 10.0.0.1 arp=maybe\n", "expected on/off"),
     ("host 10.0.0.1 rtt=fast\n", "line 1"),
     ("host 10.0.0.1\nhost 10.0.0.1\n", "duplicate host"),

@@ -79,17 +79,27 @@ class TestOutputs:
             data, _ = recv.recvfrom(2048)
         assert data == b"kind=HostAdded addr=10.0.0.5"
 
+    LONG_LINES = (
+        "node=n kind=BannerChanged observed=" + "x" * 2000,
+        # a quoted value with a space in it, and a key after it
+        format_line("n", 1, 2, [("kind", "BannerChanged"), ("addr", "10.0.0.1"),
+                                ("port", 22), ("baseline", "SSH-2.0 " + "x" * 600),
+                                ("observed", "y")]),
+    )
+
     def test_udp_datagram_capped_at_512(self):
-        long_line = "node=n kind=BannerChanged observed=" + "x" * 2000
-        payload = _fit_udp(long_line)
-        assert len(payload) <= 512
-        fields = parse_line(payload.decode())
-        # keys survive; only values get truncated
-        assert set(fields) == {"node", "kind", "observed"}
-        assert fields["kind"] == "BannerChanged"
+        for long_line in self.LONG_LINES:
+            payload = _fit_udp(long_line)
+            assert len(payload) <= 512
+            fields = parse_line(payload.decode())
+            # keys survive; only values get truncated
+            assert set(fields) == set(parse_line(long_line))
+            assert fields["kind"] == "BannerChanged"
 
     def test_short_lines_pass_unmodified(self):
         assert _fit_udp("a=1 b=2") == b"a=1 b=2"
+        exactly_512 = "a='x " + "y" * 506 + "'"
+        assert _fit_udp(exactly_512) == exactly_512.encode()
 
 
 class TestEventSink:

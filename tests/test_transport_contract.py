@@ -6,7 +6,9 @@ and capability signalling.  The OS half runs against loopback listeners
 only and skips gracefully where the sandbox lacks ICMP sockets.
 """
 
+import errno
 import ipaddress
+import os
 import socket
 import threading
 
@@ -178,13 +180,60 @@ class TestContract:
         t2 = clock.now()
         assert t0 <= t1 <= t2
 
-    def test_tcp_exchange_round_trip(self, harness):
-        reply = harness.transport.tcp_exchange(
-            harness.addr, harness.banner_port, b"hello?", 2 * SEC)
-        assert reply is not None and reply.startswith(BANNER[:5])
 
-    def test_tcp_exchange_closed_port_is_none(self, harness):
-        reply = harness.transport.tcp_exchange(
-            harness.addr, harness.closed_port, b"hello?", 2 * SEC)
-        assert reply is None
-        assert harness.transport.counters.counts["tcp_rst"] == 1  # the refusal
+class FailingSocket:
+    """Stands in for socket.socket: every send and connect raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def settimeout(self, seconds):
+        pass
+
+    def close(self):
+        pass
+
+    def sendto(self, data, address):
+        raise self.error
+
+    def connect(self, address):
+        raise self.error
+
+
+def os_error(name):
+    code = getattr(errno, name)
+    return OSError(code, os.strerror(code))
+
+
+class TestOsErrors:
+    """The OS backend tells a dead socket from a silent host by errno."""
+
+    TARGET = ipaddress.IPv4Address("192.0.2.1")
+
+    def network(self, monkeypatch, error):
+        monkeypatch.setattr("edgemap.osnet.socket.socket",
+                            lambda *args: FailingSocket(error))
+        return OsNetwork()
+
+    @pytest.mark.parametrize("name", ["ENETDOWN", "ENETUNREACH", "EBADF", "ENOBUFS"])
+    def test_dead_socket_is_transport_down(self, monkeypatch, name):
+        error = os_error(name)
+        net = self.network(monkeypatch, error)
+        with pytest.raises(TransportDown) as icmp:
+            net.icmp_ping(self.TARGET, SEC)
+        with pytest.raises(TransportDown) as tcp:
+            net.tcp_connect(self.TARGET, 502, SEC)
+        assert icmp.value.__cause__ is error and tcp.value.__cause__ is error
+
+    @pytest.mark.parametrize("name", ["EHOSTUNREACH", "EHOSTDOWN", "timeout"])
+    def test_silent_host_is_an_observed_absence(self, monkeypatch, name):
+        error = socket.timeout() if name == "timeout" else os_error(name)
+        net = self.network(monkeypatch, error)
+        assert not net.icmp_ping(self.TARGET, SEC).replied
+        assert net.tcp_connect(self.TARGET, 502, SEC).state is PortState.FILTERED
