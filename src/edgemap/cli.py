@@ -128,6 +128,9 @@ def build_config(args) -> ScanConfig:
 
 def build_transport(backend: str, config: ScanConfig):
     if backend == "os":
+        if config.syn_scan:
+            # refused before any probe, not at the first host that answers
+            raise CapabilityUnsupported("the os backend runs unprivileged; SYN scan unavailable")
         return OsNetwork()
     if backend.startswith("sim:"):
         return scenario_mod.load(backend[4:]).build(seed=config.seed or 0)
@@ -207,10 +210,10 @@ def cmd_scan(args, out) -> int:
 
 def cmd_monitor(args, out) -> int:
     config = build_config(args)
+    transport = build_transport(args.backend, config)
     store = FingerprintStore(args.state_dir)
     if not store.has_trusted(config_digest(config)):
         raise NotFound("no trusted baseline for this config (run baseline first)")
-    transport = build_transport(args.backend, config)
     sink = build_sink(args)
     stop = threading.Event()
     previous = {}

@@ -40,10 +40,10 @@ class AddressRange:
             return cls(ipaddress.IPv4Address(lo.strip()), ipaddress.IPv4Address(hi.strip()))
         if "/" in text:
             net = ipaddress.IPv4Network(text, strict=False)
-            hosts = list(net.hosts())
-            if not hosts:
-                raise ValueError(f"CIDR block {text} contains no host addresses")
-            return cls(hosts[0], hosts[-1])
+            # the endpoints of net.hosts(), read by index: a /31 or /32
+            # has no network or broadcast address to leave out
+            edge = 0 if net.prefixlen >= 31 else 1
+            return cls(net[edge], net[-1 - edge])
         addr = ipaddress.IPv4Address(text)
         return cls(addr, addr)
 
@@ -53,12 +53,6 @@ class AddressRange:
         while cur <= end:
             yield ipaddress.IPv4Address(cur)
             cur += 1
-
-    def __contains__(self, addr: IPv4) -> bool:
-        return int(self.low) <= int(addr) <= int(self.high)
-
-    def __len__(self) -> int:
-        return int(self.high) - int(self.low) + 1
 
     def __str__(self) -> str:
         return f"{self.low}-{self.high}"

@@ -1,10 +1,11 @@
 """OS socket backend: connect scans and unprivileged ICMP echo.
 
 Runs without raw-socket privilege, so there is no ARP probing and no
-half-open SYN scan here; discovery degrades to ICMP-only and SYN scan
-requests fail loudly with CapabilityUnsupported.  A socket error that
-says the local network or the socket itself is gone raises TransportDown;
-an unreachable or down host, or a timeout, is an observed absence.
+half-open SYN scan here: discovery degrades to ICMP-only, and the command
+line refuses a SYN scan on this backend before any probe.  A socket
+error that says the local network or the socket itself is gone raises
+TransportDown; an unreachable or down host, or a timeout, is an
+observed absence.
 
 Packet counters are filled from the socket behavior we can observe (one
 entry per message of the probe sequence), which keeps rate assertions
@@ -19,7 +20,7 @@ import socket
 import struct
 from typing import Optional
 
-from .errors import CapabilityUnsupported, TransportDown
+from .errors import TransportDown
 from .model import IPv4, PortState
 from .timebase import MonotonicClock, SECOND
 from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
@@ -38,8 +39,6 @@ def _icmp_checksum(data: bytes) -> int:
 
 
 class OsNetwork(ProbeTransport):
-    supports_arp = False
-
     def __init__(self):
         self.clock = MonotonicClock()
         self.counters = PacketCounters()
@@ -132,6 +131,3 @@ class OsNetwork(ProbeTransport):
         self.counters.record("tcp_rst", self.clock.now())
         sock.close()
         return PortProbe(PortState.OPEN, banner=banner, rtt=rtt)
-
-    def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
-        raise CapabilityUnsupported("OS backend runs unprivileged; SYN scan unavailable")

@@ -13,8 +13,9 @@ Line-oriented format, '#' comments:
     at <time> set-icmp <ip> on|off
     at <time> set-arp <ip> on|off
 
-`host` lines declare the network at time zero; `at` lines are timed
-actions with non-decreasing times.  Durations use unit suffixes
+`host` lines declare the network at time zero, wherever they stand; `at`
+lines are timed actions with non-decreasing times, each naming a host
+present at its time (absent, for add-host).  Durations use unit suffixes
 (us/ms/s/min); on/off also reads true/false, yes/no or 1/0, in any case.
 Banners may be double-quoted and use \\r \\n \\t \\\\ escapes.  A bad
 line fails the whole load, naming its number.  One canonical file per
@@ -33,18 +34,17 @@ from dataclasses import dataclass
 from .errors import MalformedScript
 from .shellwords import split_line
 from .simnet import (AddHost, ClosePort, OpenPort, RemoveHost, SetArp,
-                     SetIcmpEcho, SetLatencyFactor, SimHostSpec, SimNetwork,
-                     SimScript)
-from .timebase import parse_duration
+                     SetIcmpEcho, SetLatencyFactor, SimHostSpec, SimNetwork)
+from .timebase import format_duration, parse_duration
 
 
 @dataclass(frozen=True)
 class Scenario:
     hosts: tuple
-    script: SimScript
+    actions: tuple
 
     def build(self, seed: int = 0) -> SimNetwork:
-        return SimNetwork(self.hosts, self.script, seed=seed)
+        return SimNetwork(self.hosts, self.actions, seed=seed)
 
 
 def _unescape(text: str) -> bytes:
@@ -131,7 +131,7 @@ def _parse_action(at: int, verb: str, args):
 
 def loads(text: str) -> Scenario:
     hosts = {}
-    actions = []
+    actions = []  # (line number, action)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # every bad token, value or line shape is a ValueError named here
         try:
@@ -148,12 +148,29 @@ def loads(text: str) -> Scenario:
             elif tokens[0] == "at":
                 if len(tokens) < 3:
                     raise ValueError("at line needs a time and an action")
-                actions.append(_parse_action(parse_duration(tokens[1]), tokens[2], tokens[3:]))
+                actions.append((lineno, _parse_action(parse_duration(tokens[1]),
+                                                      tokens[2], tokens[3:])))
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except ValueError as exc:
             raise MalformedScript(f"line {lineno}: {exc}") from exc
-    return Scenario(tuple(hosts.values()), SimScript(tuple(actions)))
+    # checked once every line is read: a host line may follow the at lines naming it
+    present, last = set(hosts), 0
+    for lineno, action in actions:
+        adding = isinstance(action, AddHost)
+        address = action.spec.address if adding else action.address
+        if action.at < last:
+            raise MalformedScript(f"line {lineno}: times must be non-decreasing "
+                                  f"({format_duration(action.at)} after {format_duration(last)})")
+        if (address in present) == adding:
+            raise MalformedScript(f"line {lineno}: host {address} is "
+                                  f"{'already present' if adding else 'absent'}")
+        last = action.at
+        if adding:
+            present.add(address)
+        elif isinstance(action, RemoveHost):
+            present.discard(address)
+    return Scenario(tuple(hosts.values()), tuple(action for _, action in actions))
 
 
 def load(path) -> Scenario:

@@ -9,7 +9,7 @@ from .errors import NotFound
 from .model import ScanConfig, config_digest
 from .probe import SweepAborted, full_sweep
 from .rng import Prng
-from .sink import OperationalEvent, Severity
+from .sink import Severity
 from .timebase import MILLISECOND
 
 
@@ -91,9 +91,8 @@ def run_monitor(config: ScanConfig, transport, store, sink,
         trusted = replace(fp, trusted=True)
         store.save_trusted(trusted)
         sink.emit_operational(
-            OperationalEvent(
-                f"baseline recorded: hosts={len(trusted.hosts)} "
-                f"open_ports={trusted.open_port_count()}"),
+            f"baseline recorded: hosts={len(trusted.hosts)} "
+            f"open_ports={trusted.open_port_count()}",
             epoch=0, ts=clock.now())
 
     first = epoch = store.latest_epoch(digest) + 1
@@ -106,9 +105,8 @@ def run_monitor(config: ScanConfig, transport, store, sink,
         except SweepAborted:
             break
         except Exception as exc:
-            sink.emit_operational(
-                OperationalEvent(f"sweep failed: {exc}", Severity.WARNING),
-                epoch=epoch, ts=clock.now())
+            sink.emit_operational(f"sweep failed: {exc}", epoch=epoch, ts=clock.now(),
+                                  severity=Severity.WARNING)
         else:
             events = diff(trusted, fp, config, epoch=epoch)
             for event in events:
@@ -117,8 +115,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             try:
                 store.save_epoch(fp, epoch)
             except OSError as exc:
-                sink.emit_operational(
-                    OperationalEvent(f"store write failed: {exc}", Severity.WARNING),
-                    epoch=epoch, ts=clock.now())
+                sink.emit_operational(f"store write failed: {exc}", epoch=epoch,
+                                      ts=clock.now(), severity=Severity.WARNING)
         epoch += 1
     return epoch - first

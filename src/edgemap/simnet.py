@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import MalformedScript
 from .model import IPv4, PortState
 from .rng import Prng
-from .timebase import VirtualClock, format_duration
+from .timebase import VirtualClock
 from .transport import PacketCounters, PortProbe, ProbeReply, ProbeTransport
 
 # Looked up once: reading an Enum member off its class costs ~0.2 us in
@@ -105,25 +104,6 @@ class SetArp:
     enabled: bool
 
 
-Action = Union[AddHost, RemoveHost, OpenPort, ClosePort,
-               SetLatencyFactor, SetIcmpEcho, SetArp]
-
-
-@dataclass(frozen=True)
-class SimScript:
-    """Ordered list of timed actions; times must be non-decreasing."""
-
-    actions: tuple = ()
-
-    def __post_init__(self):
-        last = 0
-        for action in self.actions:
-            if action.at < last:
-                raise MalformedScript(
-                    f"script action times must be non-decreasing (saw {action.at} after {last})")
-            last = action.at
-
-
 class _HostState:
     """Mutable runtime state derived from a SimHostSpec."""
 
@@ -141,39 +121,22 @@ class _HostState:
 class SimNetwork(ProbeTransport):
     """Simulated-network probe transport with exact packet accounting.
 
-    The script is checked when the network is built: every action must
-    name a host present at its time, and an AddHost one that is absent.
-    Due actions are applied where host state is read, so an action at t
-    is in effect for every probe sent at or after t.
+    `scenario.loads` checks the hosts and the time-ordered actions; the
+    network trusts them.  Due actions are applied where host state is
+    read, so an action at t is in effect for every probe sent at or after t.
     """
 
     supports_arp = True
 
-    def __init__(self, hosts=(), script: SimScript = SimScript(), seed: int = 0):
+    def __init__(self, hosts=(), actions: tuple = (), seed: int = 0):
         self.clock = VirtualClock()
         self.counters = PacketCounters()
         # keyed by int(address): an IPv4Address hashes through hex(), and
         # every probe looks its target up here
-        self._hosts: dict[int, _HostState] = {}
-        for spec in hosts:
-            if int(spec.address) in self._hosts:
-                raise MalformedScript(f"duplicate initial host {spec.address}")
-            self._hosts[int(spec.address)] = _HostState(spec)
-        present = set(self._hosts)
-        for action in script.actions:
-            adding = isinstance(action, AddHost)
-            address = action.spec.address if adding else action.address
-            if (int(address) in present) == adding:
-                raise MalformedScript(
-                    f"{type(action).__name__} at {format_duration(action.at)}: "
-                    f"host {address} is {'already present' if adding else 'absent'}")
-            if adding:
-                present.add(int(address))
-            elif isinstance(action, RemoveHost):
-                present.discard(int(address))
-        self._script = script
+        self._hosts = {int(spec.address): _HostState(spec) for spec in hosts}
+        self._actions = actions
         self._next_action = 0
-        self._due = script.actions[0].at if script.actions else math.inf
+        self._due = actions[0].at if actions else math.inf
         self._prng = Prng(seed)
 
     # -- script handling ----------------------------------------------------
@@ -187,14 +150,14 @@ class SimNetwork(ProbeTransport):
 
     def _apply_due(self) -> None:
         """Apply the actions due by now; note when the next one is due."""
-        now, actions = self.clock.now(), self._script.actions
+        now, actions = self.clock.now(), self._actions
         while self._next_action < len(actions) and actions[self._next_action].at <= now:
             self._apply(actions[self._next_action])
             self._next_action += 1
         self._due = (actions[self._next_action].at if self._next_action < len(actions)
                      else math.inf)
 
-    def _apply(self, action: Action) -> None:
+    def _apply(self, action) -> None:
         if isinstance(action, AddHost):
             self._hosts[int(action.spec.address)] = _HostState(action.spec)
             return

@@ -26,15 +26,6 @@ UDP_MAX_BYTES = 512
 class Severity(IntEnum):
     INFO = 0
     WARNING = 1
-    ALERT = 2
-
-
-@dataclass(frozen=True)
-class OperationalEvent:
-    """Non-intrusion condition worth reporting (store/transport trouble etc.)."""
-
-    message: str
-    severity: Severity = Severity.INFO
 
 
 @dataclass(frozen=True)
@@ -58,11 +49,13 @@ def format_intrusion(node_id: str, epoch: int, ts: int, event: IntrusionEvent) -
     return format_line(node_id, epoch, ts, fields)
 
 
-def format_operational(node_id: str, epoch: int, ts: int, event: OperationalEvent) -> str:
+def format_operational(node_id: str, epoch: int, ts: int, message: str,
+                       severity: Severity = Severity.INFO) -> str:
+    """A non-intrusion condition worth reporting (store or transport trouble etc.)."""
     return format_line(node_id, epoch, ts,
                        [("kind", "Operational"),
-                        ("severity", event.severity.name.lower()),
-                        ("message", event.message)])
+                        ("severity", severity.name.lower()),
+                        ("message", message)])
 
 
 def parse_line(line: str) -> dict:
@@ -144,7 +137,9 @@ def _fit_udp(line: str) -> bytes:
 class EventSink:
     """Serializes events to every configured output and drives the safe-state hook.
 
-    `reports` keeps the failed deliveries; a delivered line leaves nothing behind.
+    `reports` keeps the latest failed delivery of each output that has
+    failed, in output order, so it stays bounded however long the sink
+    runs; a delivered line leaves nothing behind.
     """
 
     outputs: tuple
@@ -159,24 +154,24 @@ class EventSink:
         if not self.node_id:
             raise ValueError("node_id must be nonempty")
 
-    def _deliver(self, line: str):
-        reports = []
+    def _deliver(self, line: str) -> None:
+        failed = {}
         for output in self.outputs:
             try:
                 output.write_line(line)
-                reports.append(DeliveryReport(output.name, True))
             except Exception as exc:  # one bad output never stops the loop
-                reports.append(DeliveryReport(output.name, False, str(exc)))
-        self.reports += [report for report in reports if not report.ok]
-        return reports
+                failed[output.name] = DeliveryReport(output.name, False, str(exc))
+        if failed:
+            latest = {report.output: report for report in self.reports} | failed
+            self.reports = [latest.pop(output.name) for output in self.outputs
+                            if output.name in latest]
 
-    def emit_intrusion(self, event: IntrusionEvent, ts: int):
-        line = format_intrusion(self.node_id, event.scan_epoch, ts, event)
-        return self._deliver(line)
+    def emit_intrusion(self, event: IntrusionEvent, ts: int) -> None:
+        self._deliver(format_intrusion(self.node_id, event.scan_epoch, ts, event))
 
-    def emit_operational(self, event: OperationalEvent, epoch: int, ts: int):
-        line = format_operational(self.node_id, epoch, ts, event)
-        return self._deliver(line)
+    def emit_operational(self, message: str, epoch: int, ts: int,
+                         severity: Severity = Severity.INFO) -> None:
+        self._deliver(format_operational(self.node_id, epoch, ts, message, severity))
 
     def end_epoch(self, events, epoch: int, ts: int) -> None:
         """Invoke the safe-state hook at most once per epoch, after emission."""
@@ -187,6 +182,5 @@ class EventSink:
         try:
             self.safe_state_callback(events)
         except Exception as exc:
-            self.emit_operational(
-                OperationalEvent(f"safe-state hook failed: {exc}", Severity.WARNING),
-                epoch, ts)
+            self.emit_operational(f"safe-state hook failed: {exc}", epoch, ts,
+                                  Severity.WARNING)

@@ -218,12 +218,6 @@ class FingerprintStore:
                    for path in self.directory.glob(f"{prefix}*.fp"))
         return max((int(n) for n in numbers if n.isdecimal()), default=0)
 
-    def load_latest(self, digest: int) -> NetworkFingerprint:
-        epoch = self.latest_epoch(digest)
-        if not epoch:
-            raise NotFound(f"no epoch fingerprints for digest {digest:016x}")
-        return self._load(self._epoch_path(digest, epoch))
-
     def delete_trusted(self, digest: int) -> None:
         path = self._trusted_path(digest)
         if not path.exists():

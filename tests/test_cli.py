@@ -5,7 +5,9 @@ from unittest.mock import ANY
 import pytest
 
 from edgemap import cli
+from edgemap.osnet import OsNetwork
 from edgemap.store import loads_fingerprint
+from edgemap.transport import ProbeReply
 
 CONF = """\
 address_range = 10.0.0.1-10.0.0.3
@@ -84,6 +86,18 @@ class TestBaselineAndMonitor:
                       + common(ws, "added.scn"))
         assert code == 4
         assert not log.exists()
+
+    def test_syn_on_os_backend_is_refused_before_any_probe(self, ws, monkeypatch):
+        # with no host answering, a late refusal would never come at all
+        probes = []
+        monkeypatch.setattr(OsNetwork, "icmp_ping",
+                            lambda self, target, timeout: probes.append(target) or ProbeReply(False))
+        for command in ("baseline", "scan", "monitor"):
+            code, _ = run([command, "--syn", "--backend", "os", "--range", "192.0.2.1-192.0.2.3",
+                           "--state-dir", str(ws / "state")])
+            assert code == 2, command
+        assert probes == []
+        assert not list((ws / "state").glob("*.trusted.fp"))
 
 
 class TestScan:

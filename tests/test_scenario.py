@@ -27,7 +27,7 @@ def test_host_line_full_form():
 
 def test_comments_and_blank_lines_ignored():
     sc = scenario.loads("# intro\n\nhost 10.0.0.1  # trailing\n")
-    assert len(sc.hosts) == 1 and not sc.script.actions
+    assert len(sc.hosts) == 1 and not sc.actions
 
 
 def test_all_action_verbs():
@@ -40,17 +40,17 @@ def test_all_action_verbs():
         "at 50s set-arp 10.0.0.1 off\n"
         "at 60s add-host 10.0.0.2 port=80\n"
         "at 70s remove-host 10.0.0.2\n")
-    assert isinstance(sc.script.actions[0], OpenPort)
-    assert sc.script.actions[0].banner == b"telnetd"
-    assert type(sc.script.actions[1]).__name__ == "ClosePort"
-    assert isinstance(sc.script.actions[2], SetLatencyFactor)
-    assert sc.script.actions[2].factor == 2.5
-    assert isinstance(sc.script.actions[3], SetIcmpEcho) and not sc.script.actions[3].enabled
-    assert isinstance(sc.script.actions[4], SetArp)
-    assert isinstance(sc.script.actions[5], AddHost)
-    assert sc.script.actions[5].spec.open_ports == {80: None}
-    assert isinstance(sc.script.actions[6], RemoveHost)
-    assert [a.at for a in sc.script.actions] == [i * 10_000_000 for i in range(1, 8)]
+    assert isinstance(sc.actions[0], OpenPort)
+    assert sc.actions[0].banner == b"telnetd"
+    assert type(sc.actions[1]).__name__ == "ClosePort"
+    assert isinstance(sc.actions[2], SetLatencyFactor)
+    assert sc.actions[2].factor == 2.5
+    assert isinstance(sc.actions[3], SetIcmpEcho) and not sc.actions[3].enabled
+    assert isinstance(sc.actions[4], SetArp)
+    assert isinstance(sc.actions[5], AddHost)
+    assert sc.actions[5].spec.open_ports == {80: None}
+    assert isinstance(sc.actions[6], RemoveHost)
+    assert [a.at for a in sc.actions] == [i * 10_000_000 for i in range(1, 8)]
 
 
 def test_build_returns_working_network():
@@ -60,6 +60,8 @@ def test_build_returns_working_network():
     assert net.arp_probe(A("10.0.0.1"), 1000).replied
     net.simnet_advance(1_000_000)
     assert not net.arp_probe(A("10.0.0.1"), 1000).replied
+    # host lines declare time zero wherever they stand
+    assert scenario.loads("at 1s remove-host 10.0.0.1\nhost 10.0.0.1 port=22\n") == sc
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -83,6 +85,13 @@ def test_build_returns_working_network():
     ("host 10.0.0.1\nat 1s close-port 10.0.0.1 abc\n", "line 2"),
     ('host 10.0.0.1\nhost 10.0.0.2 port=22:"unclosed\n', "line 2: no closing quotation"),
     ("host 10.0.0.1\nhost 10.0.0.2 \\\n", "line 2: no escaped character"),
+    ("host 10.0.0.1\nat 2s set-arp 10.0.0.1 off\nat 1s set-arp 10.0.0.1 on\n",
+     "line 3: times must be non-decreasing"),
+    ("host 10.0.0.1\nat 1s remove-host 10.0.0.9\n", "line 2: host 10.0.0.9 is absent"),
+    ("host 10.0.0.1\nat 1s add-host 10.0.0.1\n", "line 2: host 10.0.0.1 is already present"),
+    ("at 1s add-host 10.0.0.1\nhost 10.0.0.1\n", "line 1: host 10.0.0.1 is already present"),
+    ("host 10.0.0.1\nat 1s remove-host 10.0.0.1\nat 2s set-icmp 10.0.0.1 off\n",
+     "line 3: host 10.0.0.1 is absent"),
 ])
 def test_malformed_inputs_name_the_line(text, fragment):
     with pytest.raises(MalformedScript) as excinfo:

@@ -8,10 +8,9 @@ from edgemap.errors import TransportDown
 from edgemap.model import AddressRange, EventKind
 from edgemap.rng import Prng
 from edgemap.scheduler import make_schedule, run_monitor
-from edgemap.simnet import (OpenPort, RemoveHost, SimHostSpec, SimNetwork,
-                            SimScript)
+from edgemap.simnet import OpenPort, RemoveHost, SimHostSpec, SimNetwork
 from edgemap.sink import EventSink, parse_line
-from edgemap.store import FingerprintStore
+from edgemap.store import FingerprintStore, loads_fingerprint
 from edgemap.model import config_digest
 from conftest import small_config
 
@@ -89,10 +88,10 @@ class IcmpGone(SimNetwork):
         return super().icmp_ping(target, timeout)
 
 
-def make_parts(tmp_path, script=SimScript(), cfg=None, hook=None, triggers=frozenset(),
+def make_parts(tmp_path, actions=(), cfg=None, hook=None, triggers=frozenset(),
                net_cls=SimNetwork):
     cfg = cfg or small_config()
-    net = net_cls(base_specs(), script, seed=cfg.seed)
+    net = net_cls(base_specs(), actions, seed=cfg.seed)
     store = RecordingStore(tmp_path / "state")
     lines = []
 
@@ -116,7 +115,9 @@ class TestRunMonitor:
         digest = config_digest(cfg)
         assert store.has_trusted(digest)
         assert store.load_trusted(digest).trusted
-        assert store.load_latest(digest).trusted is False
+        epochs = [name for name in store.written if "epoch" in name]
+        latest = loads_fingerprint((tmp_path / "state" / epochs[-1]).read_bytes())
+        assert len(epochs) == 2 and latest.trusted is False
 
     def test_trusted_written_exactly_once(self, tmp_path):
         cfg, net, store, sink, _ = make_parts(tmp_path)
@@ -135,8 +136,8 @@ class TestRunMonitor:
             [n for n in before if "trusted" in n]
 
     def test_scripted_change_becomes_events(self, tmp_path):
-        script = SimScript((RemoveHost(40 * SEC, A("10.0.0.2")),))
-        cfg, net, store, sink, lines = make_parts(tmp_path, script)
+        actions = (RemoveHost(40 * SEC, A("10.0.0.2")),)
+        cfg, net, store, sink, lines = make_parts(tmp_path, actions)
         assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
         events = intrusions(lines)
         assert [e["kind"] for e in events] == ["HostRemoved", "HostRemoved"]
@@ -146,9 +147,9 @@ class TestRunMonitor:
 
     def test_safe_state_hook_once_per_epoch(self, tmp_path):
         calls = []
-        script = SimScript((OpenPort(40 * SEC, A("10.0.0.1"), 9, None),))
+        actions = (OpenPort(40 * SEC, A("10.0.0.1"), 9, None),)
         cfg, net, store, sink, _ = make_parts(
-            tmp_path, script, hook=calls.append,
+            tmp_path, actions, hook=calls.append,
             triggers=frozenset({EventKind.PORT_OPENED}))
         run_monitor(cfg, net, store, sink, max_epochs=3)
         assert len(calls) == 3
@@ -228,8 +229,8 @@ def test_monitor_memory_stays_flat(tmp_path):
             pass
 
     cfg = small_config()
-    script = SimScript((RemoveHost(40 * SEC, A("10.0.0.2")),))
-    net = SimNetwork(base_specs(), script, seed=cfg.seed)
+    actions = (RemoveHost(40 * SEC, A("10.0.0.2")),)
+    net = SimNetwork(base_specs(), actions, seed=cfg.seed)
     sink = EventSink((Discard(),), trigger_kinds=frozenset(EventKind),
                      safe_state_callback=measure)
     tracemalloc.start()

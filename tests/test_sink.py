@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgemap.model import EventKind, IntrusionEvent
-from edgemap.sink import (EventSink, FileOutput, OperationalEvent,
+from edgemap.sink import (DeliveryReport, EventSink, FileOutput,
                           StdoutOutput, UdpOutput, format_intrusion,
                           format_line, format_operational, parse_intrusion,
                           parse_line, _fit_udp)
@@ -28,7 +28,7 @@ class TestLineFormat:
                         "addr=10.0.0.2 port=23 baseline=closed observed=open")
 
     def test_values_with_spaces_are_quoted(self):
-        line = format_operational("n", 0, 5, OperationalEvent("store write failed"))
+        line = format_operational("n", 0, 5, "store write failed")
         assert "message='store write failed'" in line
         assert parse_line(line)["message"] == "store write failed"
 
@@ -121,11 +121,11 @@ class TestEventSink:
         with pytest.raises(ValueError):
             EventSink((StdoutOutput(),), node_id="")
 
-    def test_emit_intrusion_returns_reports(self):
+    def test_emit_intrusion_keeps_no_report_when_delivered(self):
         sink, captured = self.make()
-        reports = sink.emit_intrusion(ev(), ts=7)
-        assert len(captured) == 1
-        assert [(r.output, r.ok) for r in reports] == [("capture", True)]
+        sink.emit_intrusion(ev(), ts=7)
+        assert captured == [format_intrusion("n", 3, 7, ev())]
+        assert sink.reports == []
 
     def test_one_failing_output_does_not_block_others(self):
         class Broken:
@@ -136,13 +136,32 @@ class TestEventSink:
 
         sink, captured = self.make()
         sink.outputs = (Broken(),) + sink.outputs
-        reports = sink.emit_intrusion(ev(), ts=7)
-        assert [(r.output, r.ok) for r in reports] == [
-            ("broken", False), ("capture", True)]
-        assert reports[0].error == "wire cut"
+        sink.emit_intrusion(ev(), ts=7)
         assert len(captured) == 1
         # the sink keeps the failures only
-        assert sink.reports == [reports[0]]
+        assert sink.reports == [DeliveryReport("broken", False, "wire cut")]
+
+    def test_reports_keep_the_latest_failure_per_output(self):
+        class Failing:
+            def __init__(self, name, fails_from):
+                self.name, self.fails_from, self.calls = name, fails_from, 0
+
+            def write_line(self, line):
+                self.calls += 1
+                if self.calls >= self.fails_from:
+                    raise OSError(f"{self.name} failure {self.calls}")
+
+        late, full_disk = Failing("late", 10_000), Failing("full-disk", 1)
+        sink, captured = self.make()
+        sink.outputs = (late, full_disk) + sink.outputs
+        for _ in range(9_999):
+            sink.emit_intrusion(ev(), ts=7)
+        assert sink.reports == [DeliveryReport("full-disk", False, "full-disk failure 9999")]
+        sink.emit_intrusion(ev(), ts=7)
+        assert len(captured) == 10_000
+        # one report per failing output, in output order, holding its last error
+        assert sink.reports == [DeliveryReport("late", False, "late failure 10000"),
+                                DeliveryReport("full-disk", False, "full-disk failure 10000")]
 
     def test_safe_state_hook_fires_once_for_trigger_kinds(self):
         calls = []

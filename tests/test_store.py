@@ -16,6 +16,11 @@ from conftest import random_fingerprint
 A = ipaddress.IPv4Address
 
 
+def read_epoch(directory, digest, epoch):
+    """The fingerprint of one stored epoch, read back from its file."""
+    return loads_fingerprint((directory / f"{digest:016x}.epoch{epoch:06d}.fp").read_bytes())
+
+
 def sample_fp(trusted=False):
     rec1 = HostRecord(address=A("10.0.0.1"), alive=Alive.UP,
                       rtt_samples=(400, 500, 900),
@@ -137,7 +142,9 @@ class TestFingerprintStore:
         second = dataclasses.replace(first, finished_at=9999)
         store.save_epoch(first, 1)
         store.save_epoch(second, 2)
-        assert store.load_latest(first.config_digest) == second
+        assert store.latest_epoch(first.config_digest) == 2
+        assert read_epoch(tmp_path, first.config_digest, 1) == first
+        assert read_epoch(tmp_path, first.config_digest, 2) == second
 
     def test_latest_is_by_epoch_number_not_by_name(self, tmp_path):
         # "epoch1000000" sorts before "epoch999999" as a name
@@ -148,14 +155,12 @@ class TestFingerprintStore:
         store.save_epoch(first, 999_999)
         store.save_epoch(second, 1_000_000)
         assert store.latest_epoch(first.config_digest) == 1_000_000
-        assert store.load_latest(first.config_digest) == second
+        assert read_epoch(tmp_path, first.config_digest, 1_000_000) == second
 
     def test_missing_records_raise_not_found(self, tmp_path):
         store = FingerprintStore(tmp_path)
         with pytest.raises(NotFound):
             store.load_trusted(1)
-        with pytest.raises(NotFound):
-            store.load_latest(1)
         with pytest.raises(NotFound):
             store.delete_trusted(1)
 
