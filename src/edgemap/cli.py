@@ -144,6 +144,9 @@ def build_sink(args, stream=None) -> EventSink:
         specs.append("udp:" + os.environ[LOGGER_ENV])
     if not specs:
         specs = ["stdout"]
+    repeated = sorted({spec for spec in specs if specs.count(spec) > 1})
+    if repeated:  # an output named twice would get every line twice
+        raise ValueError(f"sink given more than once: {', '.join(repeated)}")
     for spec in specs:
         if spec == "stdout":
             outputs.append(StdoutOutput(stream))

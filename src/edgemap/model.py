@@ -203,8 +203,6 @@ _KIND_WIRE = {
     EventKind.LATENCY_ANOMALY: "LatencyAnomaly",
 }
 
-KIND_BY_WIRE = {v: k for k, v in _KIND_WIRE.items()}
-
 _PORT_KINDS = {EventKind.PORT_OPENED, EventKind.PORT_CLOSED, EventKind.BANNER_CHANGED}
 
 

@@ -15,11 +15,14 @@ Line-oriented format, '#' comments:
 
 `host` lines declare the network at time zero, wherever they stand; `at`
 lines are timed actions with non-decreasing times, each naming a host
-present at its time (absent, for add-host).  Durations use unit suffixes
-(us/ms/s/min); on/off also reads true/false, yes/no or 1/0, in any case.
-Banners may be double-quoted and use \\r \\n \\t \\\\ escapes.  A bad
-line fails the whole load, naming its number.  One canonical file per
-evaluated attack scenario ships in scenarios/.
+present at its time (absent, for add-host).  The load works out the
+host's spec after each action, and `SimHostSpec` checks it as it checks a
+host line's: ports in 1-65535, a latency factor finite and above zero.
+Durations use unit suffixes (us/ms/s/min); on/off also reads true/false,
+yes/no or 1/0, in any case.  Banners may be double-quoted and use
+\\r \\n \\t \\\\ escapes.  A bad line fails the whole load, naming its
+number.  One canonical file per evaluated attack scenario ships in
+scenarios/.
 
 A line splits into tokens by POSIX shell word rules with '#' comments;
 `edgemap.shellwords` states them.
@@ -29,12 +32,11 @@ from __future__ import annotations
 
 import codecs
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MalformedScript
 from .shellwords import split_line
-from .simnet import (AddHost, ClosePort, OpenPort, RemoveHost, SetArp,
-                     SetIcmpEcho, SetLatencyFactor, SimHostSpec, SimNetwork)
+from .simnet import SimHostSpec, SimNetwork
 from .timebase import format_duration, parse_duration
 
 
@@ -94,17 +96,28 @@ def _parse_host_spec(addr_token: str, kv_tokens) -> SimHostSpec:
     return SimHostSpec(open_ports=open_ports, filtered_ports=frozenset(filtered), **kwargs)
 
 
-def _parse_action(at: int, verb: str, args):
+# set-<what> <ip> <value>: the spec field the value replaces, and its parser
+_SETTERS = {
+    "set-latency": ("latency_factor", float),
+    "set-icmp": ("icmp_echo_enabled", parse_bool),
+    "set-arp": ("arp_enabled", parse_bool),
+}
+
+
+def _parse_action(verb: str, args):
+    """An at line's address and edit: the edit maps the host's spec before
+    the action to its spec after it, None standing for an absent host."""
     def need(n):
         if len(args) < n:
             raise ValueError(f"{verb} needs at least {n} argument(s)")
 
     if verb == "remove-host":
         need(1)
-        return RemoveHost(at, _parse_addr(args[0]))
+        return _parse_addr(args[0]), lambda spec: None
     if verb == "add-host":
         need(1)
-        return AddHost(at, _parse_host_spec(args[0], args[1:]))
+        added = _parse_host_spec(args[0], args[1:])
+        return added.address, lambda spec: added
     if verb == "open-port":
         need(2)
         banner = None
@@ -113,25 +126,27 @@ def _parse_action(at: int, verb: str, args):
             if key != "banner":
                 raise ValueError(f"unknown open-port key {key!r}")
             banner = _unescape(value)
-        return OpenPort(at, _parse_addr(args[0]), int(args[1]), banner)
+        address, port = _parse_addr(args[0]), int(args[1])
+        return address, lambda spec: replace(
+            spec, open_ports={**spec.open_ports, port: banner},
+            filtered_ports=spec.filtered_ports - {port})
     if verb == "close-port":
         need(2)
-        return ClosePort(at, _parse_addr(args[0]), int(args[1]))
-    if verb == "set-latency":
+        address, port = _parse_addr(args[0]), int(args[1])
+        return address, lambda spec: replace(
+            spec, open_ports={p: b for p, b in spec.open_ports.items() if p != port},
+            filtered_ports=spec.filtered_ports - {port})
+    if verb in _SETTERS:
         need(2)
-        return SetLatencyFactor(at, _parse_addr(args[0]), float(args[1]))
-    if verb == "set-icmp":
-        need(2)
-        return SetIcmpEcho(at, _parse_addr(args[0]), parse_bool(args[1]))
-    if verb == "set-arp":
-        need(2)
-        return SetArp(at, _parse_addr(args[0]), parse_bool(args[1]))
+        name, parse = _SETTERS[verb]
+        address, value = _parse_addr(args[0]), parse(args[1])
+        return address, lambda spec: replace(spec, **{name: value})
     raise ValueError(f"unknown action {verb!r}")
 
 
 def loads(text: str) -> Scenario:
     hosts = {}
-    actions = []  # (line number, action)
+    edits = []  # (line number, time, verb, address, edit)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # every bad token, value or line shape is a ValueError named here
         try:
@@ -148,29 +163,30 @@ def loads(text: str) -> Scenario:
             elif tokens[0] == "at":
                 if len(tokens) < 3:
                     raise ValueError("at line needs a time and an action")
-                actions.append((lineno, _parse_action(parse_duration(tokens[1]),
-                                                      tokens[2], tokens[3:])))
+                at = parse_duration(tokens[1])
+                edits.append((lineno, at, tokens[2], *_parse_action(tokens[2], tokens[3:])))
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except ValueError as exc:
             raise MalformedScript(f"line {lineno}: {exc}") from exc
-    # checked once every line is read: a host line may follow the at lines naming it
-    present, last = set(hosts), 0
-    for lineno, action in actions:
-        adding = isinstance(action, AddHost)
-        address = action.spec.address if adding else action.address
-        if action.at < last:
+    # walked once every line is read: a host line may follow the at lines naming it
+    current, last, actions = dict(hosts), 0, []
+    for lineno, at, verb, address, edit in edits:
+        adding = verb == "add-host"
+        if at < last:
             raise MalformedScript(f"line {lineno}: times must be non-decreasing "
-                                  f"({format_duration(action.at)} after {format_duration(last)})")
-        if (address in present) == adding:
+                                  f"({format_duration(at)} after {format_duration(last)})")
+        before = current.get(address)
+        if (before is not None) == adding:
             raise MalformedScript(f"line {lineno}: host {address} is "
                                   f"{'already present' if adding else 'absent'}")
-        last = action.at
-        if adding:
-            present.add(address)
-        elif isinstance(action, RemoveHost):
-            present.discard(address)
-    return Scenario(tuple(hosts.values()), tuple(action for _, action in actions))
+        last = at
+        try:
+            current[address] = after = edit(before)
+        except ValueError as exc:  # the host's spec after the action is invalid
+            raise MalformedScript(f"line {lineno}: {exc}") from exc
+        actions.append((at, address, after))
+    return Scenario(tuple(hosts.values()), tuple(actions))
 
 
 def load(path) -> Scenario:

@@ -1,11 +1,11 @@
 """Deterministic simulated network backend.
 
-Hosts are declarative specs; timed script actions mutate the network
-while a virtual clock drives all timing.  Packet accounting follows the
-classic probe message sequences exactly: a SYN scan of an open port is
-SYN / SYN+ACK / RST (3 packets), of a closed port SYN / RST (2); a
-connect scan of an open port completes the handshake, optionally reads
-the service banner, then resets.
+Hosts are declarative specs; a timed script action swaps one host's
+spec for another, while a virtual clock drives all timing.  Packet
+accounting follows the classic probe message sequences exactly: a SYN
+scan of an open port is SYN / SYN+ACK / RST (3 packets), of a closed
+port SYN / RST (2); a connect scan of an open port completes the
+handshake, optionally reads the service banner, then resets.
 
 Reachability model: a host answers anything only while it participates
 in ARP (a device with ARP disabled is link-layer dark, per the stealth
@@ -43,86 +43,34 @@ class SimHostSpec:
     filtered_ports: frozenset = frozenset()
     base_rtt: int = 500
     rtt_jitter: int = 0
+    latency_factor: float = 1.0   # set only by a set-latency action
 
     def __post_init__(self):
         if self.base_rtt <= 0:
             raise ValueError("base_rtt must be positive")
         if self.rtt_jitter < 0:
             raise ValueError("rtt_jitter cannot be negative")
-        overlap = set(self.open_ports) & set(self.filtered_ports)
+        if not 0 < self.latency_factor < math.inf:  # false for nan too
+            raise ValueError(f"latency factor must be finite and positive, "
+                             f"got {self.latency_factor}")
+        # sorted, not min and max: sorting has a fast path for comparing
+        # ints, and a firewalled host lists a thousand filtered ports
+        ports = sorted([*self.open_ports, *self.filtered_ports])
+        for port in ports[:1] + ports[-1:]:
+            if not 0 < port < 65536:
+                raise ValueError(f"port {port} is outside 1-65535")
+        overlap = self.filtered_ports.intersection(self.open_ports)
         if overlap:
             raise ValueError(f"ports cannot be both open and filtered: {sorted(overlap)}")
-
-
-# -- timed script actions ---------------------------------------------------
-
-@dataclass(frozen=True)
-class AddHost:
-    at: int
-    spec: SimHostSpec
-
-
-@dataclass(frozen=True)
-class RemoveHost:
-    at: int
-    address: IPv4
-
-
-@dataclass(frozen=True)
-class OpenPort:
-    at: int
-    address: IPv4
-    port: int
-    banner: Optional[bytes] = None
-
-
-@dataclass(frozen=True)
-class ClosePort:
-    at: int
-    address: IPv4
-    port: int
-
-
-@dataclass(frozen=True)
-class SetLatencyFactor:
-    at: int
-    address: IPv4
-    factor: float
-
-
-@dataclass(frozen=True)
-class SetIcmpEcho:
-    at: int
-    address: IPv4
-    enabled: bool
-
-
-@dataclass(frozen=True)
-class SetArp:
-    at: int
-    address: IPv4
-    enabled: bool
-
-
-class _HostState:
-    """Mutable runtime state derived from a SimHostSpec."""
-
-    def __init__(self, spec: SimHostSpec):
-        self.address = spec.address
-        self.arp_enabled = spec.arp_enabled
-        self.icmp_echo_enabled = spec.icmp_echo_enabled
-        self.open_ports = dict(spec.open_ports)
-        self.filtered_ports = set(spec.filtered_ports)
-        self.base_rtt = spec.base_rtt
-        self.rtt_jitter = spec.rtt_jitter
-        self.latency_factor = 1.0
 
 
 class SimNetwork(ProbeTransport):
     """Simulated-network probe transport with exact packet accounting.
 
-    `scenario.loads` checks the hosts and the time-ordered actions; the
-    network trusts them.  Due actions are applied where host state is
+    A timed action `(at, address, spec)` gives the host at `address` that
+    spec from time `at` on, or removes it when the spec is None.
+    `scenario.loads` works out every spec and orders the actions by time;
+    the network trusts them.  Due actions are applied where host state is
     read, so an action at t is in effect for every probe sent at or after t.
     """
 
@@ -133,59 +81,34 @@ class SimNetwork(ProbeTransport):
         self.counters = PacketCounters()
         # keyed by int(address): an IPv4Address hashes through hex(), and
         # every probe looks its target up here
-        self._hosts = {int(spec.address): _HostState(spec) for spec in hosts}
+        self._hosts = {int(spec.address): spec for spec in hosts}
         self._actions = actions
         self._next_action = 0
-        self._due = actions[0].at if actions else math.inf
+        self._due = actions[0][0] if actions else math.inf
         self._prng = Prng(seed)
 
-    # -- script handling ----------------------------------------------------
-
-    def simnet_advance(self, until: int) -> int:
-        """Advance the virtual clock, applying all due script actions."""
-        before = self._next_action
-        self.clock.advance_to(until)
-        self._apply_due()
-        return self._next_action - before
-
     def _apply_due(self) -> None:
-        """Apply the actions due by now; note when the next one is due."""
+        """Swap in the host specs due by now; note when the next action is due."""
         now, actions = self.clock.now(), self._actions
-        while self._next_action < len(actions) and actions[self._next_action].at <= now:
-            self._apply(actions[self._next_action])
+        while self._next_action < len(actions) and actions[self._next_action][0] <= now:
+            _, address, spec = actions[self._next_action]
+            if spec is None:
+                del self._hosts[int(address)]
+            else:
+                self._hosts[int(address)] = spec
             self._next_action += 1
-        self._due = (actions[self._next_action].at if self._next_action < len(actions)
+        self._due = (actions[self._next_action][0] if self._next_action < len(actions)
                      else math.inf)
-
-    def _apply(self, action) -> None:
-        if isinstance(action, AddHost):
-            self._hosts[int(action.spec.address)] = _HostState(action.spec)
-            return
-        host = self._hosts[int(action.address)]
-        if isinstance(action, RemoveHost):
-            del self._hosts[int(action.address)]
-        elif isinstance(action, OpenPort):
-            host.open_ports[action.port] = action.banner
-            host.filtered_ports.discard(action.port)
-        elif isinstance(action, ClosePort):
-            host.open_ports.pop(action.port, None)
-            host.filtered_ports.discard(action.port)
-        elif isinstance(action, SetLatencyFactor):
-            host.latency_factor = action.factor
-        elif isinstance(action, SetIcmpEcho):
-            host.icmp_echo_enabled = action.enabled
-        elif isinstance(action, SetArp):
-            host.arp_enabled = action.enabled
 
     # -- probe primitives ---------------------------------------------------
 
-    def _rtt(self, host: _HostState) -> int:
+    def _rtt(self, host: SimHostSpec) -> int:
         rtt = int(host.base_rtt * host.latency_factor)
         if host.rtt_jitter:
             rtt += self._prng.below(host.rtt_jitter + 1)
         return max(rtt, 1)
 
-    def _reachable(self, target: IPv4) -> Optional[_HostState]:
+    def _reachable(self, target: IPv4) -> Optional[SimHostSpec]:
         """The host answering at `target` now; no probe reads host state before this."""
         if self.clock.now() >= self._due:
             self._apply_due()
@@ -194,7 +117,7 @@ class SimNetwork(ProbeTransport):
             return None
         return host
 
-    def _echo(self, request: str, reply: str, host: Optional[_HostState],
+    def _echo(self, request: str, reply: str, host: Optional[SimHostSpec],
               timeout: int) -> ProbeReply:
         """One request/reply exchange with a host that answers, or with nobody."""
         t0 = self.clock.now()

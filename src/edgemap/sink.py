@@ -17,7 +17,7 @@ from enum import IntEnum
 from shlex import quote
 from typing import Optional
 
-from .model import KIND_BY_WIRE, IntrusionEvent
+from .model import IntrusionEvent
 from .shellwords import split_line
 
 UDP_MAX_BYTES = 512
@@ -67,18 +67,6 @@ def parse_line(line: str) -> dict:
             raise ValueError(f"token {token!r} is not key=value")
         out[key] = value
     return out
-
-
-def parse_intrusion(line: str) -> IntrusionEvent:
-    fields = parse_line(line)
-    import ipaddress
-    return IntrusionEvent(
-        kind=KIND_BY_WIRE[fields["kind"]],
-        address=ipaddress.IPv4Address(fields["addr"]),
-        port=int(fields["port"]) if "port" in fields else None,
-        baseline_value=fields.get("baseline", ""),
-        observed_value=fields.get("observed", ""),
-        scan_epoch=int(fields["epoch"]))
 
 
 # -- outputs ----------------------------------------------------------------

@@ -286,6 +286,10 @@ EXIT_CODE_ROWS = [
     ("simulate", "action on unknown address",
      _write("bad.scn", BASE_SCN + "at 30s remove-host 10.0.0.9\n"),
      lambda ws: _simulate(ws, "bad.scn"), 6),
+    # a spec no probe could use: refused at load, not when the latency is read
+    ("simulate", "infinite latency factor",
+     _write("bad.scn", BASE_SCN + "at 30s set-latency 10.0.0.1 inf\n"),
+     lambda ws: _simulate(ws, "bad.scn"), 6),
     ("scan", "non-boolean config value", _write("bad.conf", CONF + "syn_scan = ture\n"),
      lambda ws: ["scan", "--config", str(ws / "bad.conf"),
                  "--backend", f"sim:{ws / 'net.scn'}"], 2),
@@ -331,3 +335,11 @@ class TestSinkWiring:
                        "--sink", f"file:{log}", "--sink", "stdout"])
         assert code == 0
         assert "kind=PortOpened" in log.read_text()
+
+    @pytest.mark.parametrize("spec", ["file:{log}", "stdout"])
+    def test_repeated_sink_is_refused(self, ws, capsys, spec):
+        log = ws / "dup.log"
+        sink = spec.format(log=log)
+        assert run(_simulate(ws, "change.scn", "--sink", sink, "--sink", sink)) == (2, "")
+        assert capsys.readouterr().err == f"error: sink given more than once: {sink}\n"
+        assert not log.exists()

@@ -1,14 +1,16 @@
 import ipaddress
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from edgemap import scenario
 from edgemap.errors import MalformedScript
-from edgemap.simnet import (AddHost, OpenPort, RemoveHost, SetArp,
-                            SetIcmpEcho, SetLatencyFactor, SimNetwork)
+from edgemap.model import PortState
+from edgemap.simnet import SimHostSpec, SimNetwork
 
 A = ipaddress.IPv4Address
+SEC = 1_000_000
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,25 +34,56 @@ def test_comments_and_blank_lines_ignored():
 
 def test_all_action_verbs():
     sc = scenario.loads(
-        "host 10.0.0.1\n"
+        "host 10.0.0.1 filtered=23,24\n"
         "at 10s open-port 10.0.0.1 23 banner=telnetd\n"
         "at 20s close-port 10.0.0.1 23\n"
         "at 30s set-latency 10.0.0.1 2.5\n"
         "at 40s set-icmp 10.0.0.1 off\n"
         "at 50s set-arp 10.0.0.1 off\n"
         "at 60s add-host 10.0.0.2 port=80\n"
-        "at 70s remove-host 10.0.0.2\n")
-    assert isinstance(sc.actions[0], OpenPort)
-    assert sc.actions[0].banner == b"telnetd"
-    assert type(sc.actions[1]).__name__ == "ClosePort"
-    assert isinstance(sc.actions[2], SetLatencyFactor)
-    assert sc.actions[2].factor == 2.5
-    assert isinstance(sc.actions[3], SetIcmpEcho) and not sc.actions[3].enabled
-    assert isinstance(sc.actions[4], SetArp)
-    assert isinstance(sc.actions[5], AddHost)
-    assert sc.actions[5].spec.open_ports == {80: None}
-    assert isinstance(sc.actions[6], RemoveHost)
-    assert [a.at for a in sc.actions] == [i * 10_000_000 for i in range(1, 8)]
+        "at 70s remove-host 10.0.0.2\n"
+        "at 80s close-port 10.0.0.1 24 extra tokens\n"
+        "at 90s set-arp 10.0.0.1 on extra\n")
+    one, two = A("10.0.0.1"), A("10.0.0.2")
+    (initial,) = sc.hosts
+    opened = SimHostSpec(one, open_ports={23: b"telnetd"}, filtered_ports=frozenset({24}))
+    closed = SimHostSpec(one, filtered_ports=frozenset({24}))
+    slowed = SimHostSpec(one, filtered_ports=frozenset({24}), latency_factor=2.5)
+    mute = SimHostSpec(one, icmp_echo_enabled=False, filtered_ports=frozenset({24}),
+                       latency_factor=2.5)
+    dark = SimHostSpec(one, arp_enabled=False, icmp_echo_enabled=False,
+                       filtered_ports=frozenset({24}), latency_factor=2.5)
+    unfiltered = SimHostSpec(one, arp_enabled=False, icmp_echo_enabled=False,
+                             latency_factor=2.5)
+    assert initial == SimHostSpec(one, filtered_ports=frozenset({23, 24}))
+    assert sc.actions == (
+        (10_000_000, one, opened),
+        (20_000_000, one, closed),
+        (30_000_000, one, slowed),
+        (40_000_000, one, mute),
+        (50_000_000, one, dark),
+        (60_000_000, two, SimHostSpec(two, open_ports={80: None})),
+        (70_000_000, two, None),
+        (80_000_000, one, unfiltered),
+        (90_000_000, one, replace(unfiltered, arp_enabled=True)),
+    )
+
+
+def test_removed_then_readded_host_starts_from_its_add_host_line():
+    sc = scenario.loads(
+        "host 10.0.0.1 port=22:ssh filtered=25\n"
+        "at 1s set-latency 10.0.0.1 3\n"
+        "at 1s open-port 10.0.0.1 23\n"
+        "at 2s remove-host 10.0.0.1\n"
+        "at 3s add-host 10.0.0.1 port=80\n")
+    net, addr = sc.build(), A("10.0.0.1")
+    net.clock.advance_to(1_000_000)
+    assert net.icmp_ping(addr, SEC).rtt == 1500
+    assert net.tcp_syn(addr, 23, SEC).state is PortState.OPEN
+    net.clock.advance_to(3_000_000)
+    assert net.icmp_ping(addr, SEC).rtt == 500
+    assert [net.tcp_syn(addr, port, SEC).state for port in (22, 23, 25, 80)] == [
+        PortState.CLOSED, PortState.CLOSED, PortState.CLOSED, PortState.OPEN]
 
 
 def test_build_returns_working_network():
@@ -58,7 +91,7 @@ def test_build_returns_working_network():
     net = sc.build(seed=3)
     assert isinstance(net, SimNetwork)
     assert net.arp_probe(A("10.0.0.1"), 1000).replied
-    net.simnet_advance(1_000_000)
+    net.clock.advance_to(1_000_000)
     assert not net.arp_probe(A("10.0.0.1"), 1000).replied
     # host lines declare time zero wherever they stand
     assert scenario.loads("at 1s remove-host 10.0.0.1\nhost 10.0.0.1 port=22\n") == sc
@@ -92,6 +125,13 @@ def test_build_returns_working_network():
     ("at 1s add-host 10.0.0.1\nhost 10.0.0.1\n", "line 1: host 10.0.0.1 is already present"),
     ("host 10.0.0.1\nat 1s remove-host 10.0.0.1\nat 2s set-icmp 10.0.0.1 off\n",
      "line 3: host 10.0.0.1 is absent"),
+    ("host 10.0.0.1\nat 1s set-latency 10.0.0.1 inf\n", "line 2: latency factor"),
+    ("host 10.0.0.1\nat 1s set-latency 10.0.0.1 nan\n", "line 2: latency factor"),
+    ("host 10.0.0.1\nat 1s set-latency 10.0.0.1 0\n", "line 2: latency factor"),
+    ("host 10.0.0.1\nat 1s set-latency 10.0.0.1 -3\n", "line 2: latency factor"),
+    ("host 10.0.0.1\nhost 10.0.0.2 port=70000\n", "line 2: port 70000 is outside 1-65535"),
+    ("host 10.0.0.1 filtered=0\n", "line 1: port 0 is outside 1-65535"),
+    ("host 10.0.0.1\nat 1s open-port 10.0.0.1 0\n", "line 2: port 0 is outside 1-65535"),
 ])
 def test_malformed_inputs_name_the_line(text, fragment):
     with pytest.raises(MalformedScript) as excinfo:

@@ -1,6 +1,7 @@
 import ipaddress
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from edgemap.errors import TransportDown
 from edgemap.model import AddressRange, EventKind
 from edgemap.rng import Prng
 from edgemap.scheduler import make_schedule, run_monitor
-from edgemap.simnet import OpenPort, RemoveHost, SimHostSpec, SimNetwork
+from edgemap.simnet import SimHostSpec, SimNetwork
 from edgemap.sink import EventSink, parse_line
 from edgemap.store import FingerprintStore, loads_fingerprint
 from edgemap.model import config_digest
@@ -136,7 +137,7 @@ class TestRunMonitor:
             [n for n in before if "trusted" in n]
 
     def test_scripted_change_becomes_events(self, tmp_path):
-        actions = (RemoveHost(40 * SEC, A("10.0.0.2")),)
+        actions = ((40 * SEC, A("10.0.0.2"), None),)
         cfg, net, store, sink, lines = make_parts(tmp_path, actions)
         assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
         events = intrusions(lines)
@@ -147,7 +148,8 @@ class TestRunMonitor:
 
     def test_safe_state_hook_once_per_epoch(self, tmp_path):
         calls = []
-        actions = (OpenPort(40 * SEC, A("10.0.0.1"), 9, None),)
+        one = base_specs()[0]
+        actions = ((40 * SEC, one.address, replace(one, open_ports={**one.open_ports, 9: None})),)
         cfg, net, store, sink, _ = make_parts(
             tmp_path, actions, hook=calls.append,
             triggers=frozenset({EventKind.PORT_OPENED}))
@@ -229,7 +231,7 @@ def test_monitor_memory_stays_flat(tmp_path):
             pass
 
     cfg = small_config()
-    actions = (RemoveHost(40 * SEC, A("10.0.0.2")),)
+    actions = ((40 * SEC, A("10.0.0.2"), None),)
     net = SimNetwork(base_specs(), actions, seed=cfg.seed)
     sink = EventSink((Discard(),), trigger_kinds=frozenset(EventKind),
                      safe_state_callback=measure)

@@ -1,13 +1,12 @@
 import ipaddress
+from dataclasses import replace
 
 import pytest
 
 from conftest import small_config
 from edgemap.model import PortState
 from edgemap.probe import scan_host_ports
-from edgemap.simnet import (AddHost, ClosePort, OpenPort, RemoveHost, SetArp,
-                            SetIcmpEcho, SetLatencyFactor, SimHostSpec,
-                            SimNetwork)
+from edgemap.simnet import SimHostSpec, SimNetwork
 
 A = ipaddress.IPv4Address
 SEC = 1_000_000
@@ -139,8 +138,7 @@ class TestReachability:
     def test_latency_factor_scales_rtt(self):
         net, addr = one_host(base_rtt=1000)
         spec = SimHostSpec(address=A("10.0.0.2"), base_rtt=1000)
-        net2 = SimNetwork([spec], (SetLatencyFactor(0, spec.address, 2.5),))
-        net2.simnet_advance(1)
+        net2 = SimNetwork([spec], ((0, spec.address, replace(spec, latency_factor=2.5)),))
         assert net2.icmp_ping(spec.address, SEC).rtt == 2500
         assert net.icmp_ping(addr, SEC).rtt == 1000
 
@@ -162,16 +160,14 @@ class TestScript:
 
     def test_actions_fire_at_boundary_inclusive(self):
         spec = SimHostSpec(address=self.addr(1))
-        net = SimNetwork([spec], (RemoveHost(10 * SEC, spec.address),))
-        assert net.simnet_advance(10 * SEC - 1000) == 0
-        assert net.arp_probe(spec.address, 999).replied  # resolves before 10s
-        assert net.simnet_advance(10 * SEC - 1) == 0
-        assert net.simnet_advance(10 * SEC) == 1
-        assert not net.arp_probe(spec.address, 1000).replied
+        for sent, replied in ((10 * SEC - 1, True), (10 * SEC, False)):
+            net = SimNetwork([spec], ((10 * SEC, spec.address, None),))
+            net.clock.advance_to(sent)
+            assert net.arp_probe(spec.address, 1000).replied is replied
 
     def test_probe_driven_advance_also_applies_actions(self):
         spec = SimHostSpec(address=self.addr(1))
-        net = SimNetwork([spec], (SetIcmpEcho(500, spec.address, False),))
+        net = SimNetwork([spec], ((500, spec.address, replace(spec, icmp_echo_enabled=False)),))
         # the first ping's own timeout crosses the action time
         assert net.icmp_ping(spec.address, SEC).replied  # resolves at t=500... rtt below
         assert not net.icmp_ping(spec.address, SEC).replied
@@ -180,19 +176,19 @@ class TestScript:
         spec = SimHostSpec(address=self.addr(1))
         new = SimHostSpec(address=self.addr(2), open_ports={80: b"http"})
         net = SimNetwork([spec], (
-            OpenPort(SEC, spec.address, 23, b"telnet"),
-            ClosePort(2 * SEC, spec.address, 23),
-            AddHost(3 * SEC, new),
-            SetArp(4 * SEC, new.address, False),
+            (SEC, spec.address, replace(spec, open_ports={23: b"telnet"})),
+            (2 * SEC, spec.address, spec),
+            (3 * SEC, new.address, new),
+            (4 * SEC, new.address, replace(new, arp_enabled=False)),
         ))
         assert net.tcp_syn(spec.address, 23, 1000).state is PortState.CLOSED
-        net.simnet_advance(SEC)
+        net.clock.advance_to(SEC)
         assert net.tcp_connect(spec.address, 23, 1000).banner == b"telnet"
-        net.simnet_advance(2 * SEC)
+        net.clock.advance_to(2 * SEC)
         assert net.tcp_syn(spec.address, 23, 1000).state is PortState.CLOSED
-        net.simnet_advance(3 * SEC)
+        net.clock.advance_to(3 * SEC)
         assert net.tcp_syn(new.address, 80, 1000).state is PortState.OPEN
-        net.simnet_advance(4 * SEC)
+        net.clock.advance_to(4 * SEC)
         assert not net.arp_probe(new.address, 1000).replied
 
     def test_removal_between_two_probes_of_one_scan(self):
@@ -200,7 +196,7 @@ class TestScript:
         spec = SimHostSpec(address=self.addr(1), base_rtt=500)
         step = 500 + 100_000
         removed_at = 4 * step - 50_000  # in the pause after the 4th probe
-        net = SimNetwork([spec], (RemoveHost(removed_at, spec.address),))
+        net = SimNetwork([spec], ((removed_at, spec.address, None),))
         order = (5, 1, 7, 3, 2, 8, 4, 6)
         ports, _ = scan_host_ports(spec.address, small_config(port_range=(1, 8)),
                                    net, order)
