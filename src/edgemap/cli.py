@@ -34,7 +34,7 @@ from .scheduler import make_schedule, run_monitor
 from .sink import EventSink, FileOutput, StdoutOutput, UdpOutput, format_intrusion
 from .store import FingerprintStore, dumps_fingerprint, loads_fingerprint
 from .timebase import SECOND, format_duration, parse_duration
-from .transport import DISCOVERY_CLASSES, PACKET_CLASSES, TCP_CLASSES
+from .transport import DISCOVERY_CLASSES, FIXED_SIZE, PACKET_CLASSES, TCP_CLASSES
 
 EXIT_OK = 0
 EXIT_EVENTS = 1
@@ -256,25 +256,24 @@ def cmd_diff(args, out) -> int:
 def _print_rates(counters, out) -> None:
     print("# per-second packet rates", file=out)
     print("sec " + " ".join(PACKET_CLASSES) + " bytes", file=out)
-    for sec in counters.seconds():
-        row = " ".join(str(counters.per_second[cls].get(sec, 0))
-                       for cls in PACKET_CLASSES)
-        print(f"{sec} {row} {counters.second_bytes(sec)}", file=out)
+    columns = counters.per_second
+    for sec, *row in zip(counters.seconds(), *(columns[cls] for cls in PACKET_CLASSES)):
+        print(f"{sec} {' '.join(map(str, row))} {counters.second_bytes(sec)}", file=out)
 
 
-def _peak(buckets, classes) -> int:
-    """Busiest second of the classes' summed per-second buckets."""
-    totals = {}
-    for cls in classes:
-        for sec, n in buckets[cls].items():
-            totals[sec] = totals.get(sec, 0) + n
-    return max(totals.values(), default=0)
+def _peak(counters, classes, sizes=None) -> int:
+    """Busiest second of the classes' summed per-second counts, each count
+    times its class's size if sizes are given."""
+    columns = counters.per_second
+    weights = [sizes[cls] if sizes else 1 for cls in classes]
+    rows = zip(*(columns[cls] for cls in classes))
+    return max((sum(n * w for n, w in zip(row, weights)) for row in rows), default=0)
 
 
 def _print_peaks(counters, out) -> None:
-    disc = _peak(counters.per_second, DISCOVERY_CLASSES)
-    tcp = _peak(counters.per_second, TCP_CLASSES)
-    tcp_bytes = _peak(counters.per_second_bytes, TCP_CLASSES)
+    disc = _peak(counters, DISCOVERY_CLASSES)
+    tcp = _peak(counters, TCP_CLASSES)
+    tcp_bytes = _peak(counters, TCP_CLASSES, FIXED_SIZE)
     print(f"peak discovery_pps={disc} tcp_pps={tcp} tcp_bytes_per_s={tcp_bytes} "
           f"total_packets={counters.total_packets()} total_bytes={counters.total_bytes()}",
           file=out)

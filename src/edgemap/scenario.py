@@ -21,8 +21,9 @@ host line's: ports in 1-65535, a latency factor finite and above zero.
 Durations use unit suffixes (us/ms/s/min); on/off also reads true/false,
 yes/no or 1/0, in any case.  Banners may be double-quoted and use
 \\r \\n \\t \\\\ escapes.  A bad line fails the whole load, naming its
-number.  One canonical file per evaluated attack scenario ships in
-scenarios/.
+number; a token past an action's arguments and a port given twice on
+one line are bad too.  One canonical file per evaluated attack scenario
+ships in scenarios/.
 
 A line splits into tokens by POSIX shell word rules with '#' comments;
 `edgemap.shellwords` states them.
@@ -88,7 +89,10 @@ def _parse_host_spec(addr_token: str, kv_tokens) -> SimHostSpec:
             kwargs["rtt_jitter"] = parse_duration(value)
         elif key == "port":
             port_text, _, banner_text = value.partition(":")
-            open_ports[int(port_text)] = _unescape(banner_text) if banner_text else None
+            port = int(port_text)
+            if port in open_ports:
+                raise ValueError(f"port {port} given twice")
+            open_ports[port] = _unescape(banner_text) if banner_text else None
         elif key == "filtered":
             filtered.update(map(int, filter(None, value.split(","))))
         else:
@@ -107,19 +111,22 @@ _SETTERS = {
 def _parse_action(verb: str, args):
     """An at line's address and edit: the edit maps the host's spec before
     the action to its spec after it, None standing for an absent host."""
-    def need(n):
+    def need(n, keys=False):
+        """n arguments, then key=value tokens if the verb takes `keys`."""
         if len(args) < n:
             raise ValueError(f"{verb} needs at least {n} argument(s)")
+        if not keys and len(args) > n:
+            raise ValueError(f"{verb} takes {n} argument(s); unexpected {args[n]!r}")
 
     if verb == "remove-host":
         need(1)
         return _parse_addr(args[0]), lambda spec: None
     if verb == "add-host":
-        need(1)
+        need(1, keys=True)
         added = _parse_host_spec(args[0], args[1:])
         return added.address, lambda spec: added
     if verb == "open-port":
-        need(2)
+        need(2, keys=True)
         banner = None
         for token in args[2:]:
             key, _, value = token.partition("=")

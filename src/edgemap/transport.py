@@ -8,6 +8,8 @@ way against either.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 from .errors import CapabilityUnsupported
@@ -36,7 +38,7 @@ PACKET_CLASSES = (
     "banner_data",
 )
 
-_FIXED_SIZE = {
+FIXED_SIZE = {
     "arp_request": ARP_BYTES,
     "arp_reply": ARP_BYTES,
     "icmp_request": ICMP_BYTES,
@@ -52,31 +54,91 @@ TCP_CLASSES = ("tcp_syn", "tcp_synack", "tcp_ack", "tcp_rst", "tcp_fin")
 DISCOVERY_CLASSES = ("arp_request", "arp_reply", "icmp_request", "icmp_reply")
 
 
+# One row of per-second history: a packet count per class, in
+# PACKET_CLASSES order, then the second's banner_data bytes.
+_CELL = {cls: i for i, cls in enumerate(PACKET_CLASSES)}
+_BANNER_BYTES_CELL = len(PACKET_CLASSES)
+_ROW = len(PACKET_CLASSES) + 1
+_ZERO_ROW = {typecode: bytes(array(typecode).itemsize * _ROW) for typecode in "Hq"}
+
+
 class PacketCounters:
     """Per-class cumulative and per-second packet/byte accounting.
 
-    Seconds are integer buckets of the scan clock (timestamp // 1s), so a
-    rate plot can be regenerated from `per_second` directly.
+    Seconds are integer buckets of the scan clock (timestamp // 1s).  The
+    history is kept in two arrays: the sorted busy seconds, and one row
+    of cells per busy second holding each class's packet count and the
+    second's `banner_data` bytes, the one class whose size varies; every
+    other class's bytes are its count times its `FIXED_SIZE`.  Cells
+    start at 2 bytes and all widen to 8 the first time a second overflows
+    one.  `per_second` and `per_second_bytes` are copies of the columns,
+    aligned with `seconds()`.
+
+    `record` touches the newest row, appending one when the second rolls
+    over.  A record for an earlier second lands in that second's row,
+    inserted in order if the second saw no traffic yet.
     """
 
     def __init__(self):
         self.counts = {cls: 0 for cls in PACKET_CLASSES}
-        self.bytes = {cls: 0 for cls in PACKET_CLASSES}
-        self.per_second = {cls: {} for cls in PACKET_CLASSES}
-        self.per_second_bytes = {cls: {} for cls in PACKET_CLASSES}
+        self._banner_bytes = 0
+        self._secs = array("q")
+        self._cells = array("H")
+        self._newest = None   # the last row's second
+        self._last = 0        # index of the last row's first cell
+
+    def _earlier_row(self, sec: int) -> int:
+        """Index of the first cell of the row of `sec`, a second before the
+        newest, inserted (zeroed) in order if that second was quiet."""
+        secs, cells = self._secs, self._cells
+        row = bisect_left(secs, sec)
+        if secs[row] != sec:
+            secs.insert(row, sec)
+            cells[row * _ROW:row * _ROW] = array(cells.typecode, _ZERO_ROW[cells.typecode])
+            self._last += _ROW
+        return row * _ROW
+
+    def _add(self, cell: int, n: int) -> None:
+        try:
+            self._cells[cell] += n
+        except OverflowError:  # a second busier than 2-byte cells hold
+            self._cells = array("q", self._cells)
+            self._cells[cell] += n
 
     def record(self, cls: str, when: int, payload_len: int = 0) -> None:
+        sec = when // SECOND
+        if sec == self._newest:
+            row = self._last
+        elif self._newest is not None and sec < self._newest:
+            row = self._earlier_row(sec)
+        else:  # the second rolled over: a new last row
+            cells = self._cells
+            self._secs.append(sec)
+            cells.frombytes(_ZERO_ROW[cells.typecode])
+            self._newest, self._last = sec, len(cells) - _ROW
+            row = self._last
+        self.counts[cls] += 1
+        self._add(row + _CELL[cls], 1)
         if cls == "banner_data":
             size = payload_len + BANNER_FRAMING_BYTES
-        else:
-            size = _FIXED_SIZE[cls]
-        sec = when // SECOND
-        self.counts[cls] += 1
-        self.bytes[cls] += size
-        bucket = self.per_second[cls]
-        bucket[sec] = bucket.get(sec, 0) + 1
-        bbucket = self.per_second_bytes[cls]
-        bbucket[sec] = bbucket.get(sec, 0) + size
+            self._banner_bytes += size
+            self._add(row + _BANNER_BYTES_CELL, size)
+
+    @property
+    def bytes(self) -> dict:
+        """Bytes sent per class, worked out from the counts."""
+        return {cls: self._banner_bytes if cls == "banner_data" else n * FIXED_SIZE[cls]
+                for cls, n in self.counts.items()}
+
+    @property
+    def per_second(self) -> dict:
+        """Each class's packet count per busy second, aligned with `seconds()`."""
+        return {cls: self._cells[i::_ROW] for cls, i in _CELL.items()}
+
+    @property
+    def per_second_bytes(self) -> dict:
+        """banner_data's bytes per busy second, aligned with `seconds()`."""
+        return {"banner_data": self._cells[_BANNER_BYTES_CELL::_ROW]}
 
     def total_packets(self) -> int:
         return sum(self.counts.values())
@@ -85,24 +147,36 @@ class PacketCounters:
         return sum(self.bytes.values())
 
     def seconds(self):
-        """Sorted list of all second buckets that saw any traffic."""
-        seen = set()
-        for bucket in self.per_second.values():
-            seen.update(bucket)
-        return sorted(seen)
+        """Sorted array of all second buckets that saw any traffic."""
+        return self._secs[:]
+
+    def _find(self, sec: int):
+        """Index of the first cell of `sec`'s row, or None if that second
+        saw no traffic."""
+        row = bisect_left(self._secs, sec)
+        return row * _ROW if row < len(self._secs) and self._secs[row] == sec else None
 
     def second_count(self, sec: int, classes=PACKET_CLASSES) -> int:
-        return sum(self.per_second[cls].get(sec, 0) for cls in classes)
+        row = self._find(sec)
+        if row is None:
+            return 0
+        return sum(self._cells[row + _CELL[cls]] for cls in classes)
 
     def second_bytes(self, sec: int, classes=PACKET_CLASSES) -> int:
-        return sum(self.per_second_bytes[cls].get(sec, 0) for cls in classes)
+        row = self._find(sec)
+        if row is None:
+            return 0
+        cells = self._cells
+        return sum(cells[row + _BANNER_BYTES_CELL] if cls == "banner_data"
+                   else cells[row + _CELL[cls]] * FIXED_SIZE[cls] for cls in classes)
 
     def snapshot(self) -> "PacketCounters":
         out = PacketCounters()
         out.counts = dict(self.counts)
-        out.bytes = dict(self.bytes)
-        out.per_second = {cls: dict(b) for cls, b in self.per_second.items()}
-        out.per_second_bytes = {cls: dict(b) for cls, b in self.per_second_bytes.items()}
+        out._banner_bytes = self._banner_bytes
+        out._secs = self._secs[:]
+        out._cells = self._cells[:]
+        out._newest, out._last = self._newest, self._last
         return out
 
 

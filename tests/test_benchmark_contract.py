@@ -69,3 +69,27 @@ def test_markers_patch_and_restore(workload):
     expected = ({(cli, "build_config")} if workload == "compare"
                 else set(places) - {(cli, "build_config")})
     assert changed == expected
+
+
+def test_scan_stats_agree_with_the_peak_line():
+    """The benchmark's scan-clock figures read the packet counters through
+    their API; on a real run they must match what `simulate` prints."""
+    run_mod = load_benchmark_module("run")
+    markers = run_mod.Markers(cli, FingerprintStore, "longrun")
+    markers.in_command_refs = False
+    out = io.StringIO()
+    try:
+        assert cli.main(["simulate", str(ROOT / "scenarios" / "peak-syn.scn"),
+                         "--config", str(ROOT / "scenarios" / "peak.conf"),
+                         "--rates", "none"], out) == 0
+    finally:
+        markers.uninstall()
+    (peak,) = [line for line in out.getvalue().splitlines() if line.startswith("peak ")]
+    printed = {key: int(value) for key, value in
+               (field.split("=") for field in peak.split()[1:])}
+    stats = run_mod.scan_stats(markers.transport, markers.sweep_us)
+    assert printed["discovery_pps"] > 0 and printed["tcp_pps"] > 0
+    assert (stats["peak_discovery_pps"], stats["peak_tcp_pps"],
+            stats["total_packets"], stats["total_bytes"]) == (
+        printed["discovery_pps"], printed["tcp_pps"],
+        printed["total_packets"], printed["total_bytes"])

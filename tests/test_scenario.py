@@ -42,8 +42,8 @@ def test_all_action_verbs():
         "at 50s set-arp 10.0.0.1 off\n"
         "at 60s add-host 10.0.0.2 port=80\n"
         "at 70s remove-host 10.0.0.2\n"
-        "at 80s close-port 10.0.0.1 24 extra tokens\n"
-        "at 90s set-arp 10.0.0.1 on extra\n")
+        "at 80s close-port 10.0.0.1 24\n"
+        "at 90s set-arp 10.0.0.1 on\n")
     one, two = A("10.0.0.1"), A("10.0.0.2")
     (initial,) = sc.hosts
     opened = SimHostSpec(one, open_ports={23: b"telnetd"}, filtered_ports=frozenset({24}))
@@ -132,6 +132,15 @@ def test_build_returns_working_network():
     ("host 10.0.0.1\nhost 10.0.0.2 port=70000\n", "line 2: port 70000 is outside 1-65535"),
     ("host 10.0.0.1 filtered=0\n", "line 1: port 0 is outside 1-65535"),
     ("host 10.0.0.1\nat 1s open-port 10.0.0.1 0\n", "line 2: port 0 is outside 1-65535"),
+    ("host 10.0.0.1\nhost 10.0.0.2\nat 1s remove-host 10.0.0.1 10.0.0.2\n",
+     "line 3: remove-host takes 1 argument(s); unexpected '10.0.0.2'"),
+    ("host 10.0.0.1 port=24\nat 1s close-port 10.0.0.1 24 25\n",
+     "line 2: close-port takes 2 argument(s); unexpected '25'"),
+    ("host 10.0.0.1\nat 1s set-latency 10.0.0.1 2 3\n", "line 2: set-latency takes 2"),
+    ("host 10.0.0.1\nat 1s set-icmp 10.0.0.1 off on\n", "line 2: set-icmp takes 2"),
+    ("host 10.0.0.1\nat 1s set-arp 10.0.0.1 off on\n", "line 2: set-arp takes 2"),
+    ("host 10.0.0.1 port=23:a port=23:b\n", "line 1: port 23 given twice"),
+    ("host 10.0.0.1\nat 1s add-host 10.0.0.2 port=23 port=23\n", "line 2: port 23 given twice"),
 ])
 def test_malformed_inputs_name_the_line(text, fragment):
     with pytest.raises(MalformedScript) as excinfo:

@@ -7,6 +7,7 @@ from conftest import small_config
 from edgemap.model import PortState
 from edgemap.probe import scan_host_ports
 from edgemap.simnet import SimHostSpec, SimNetwork
+from edgemap.transport import PacketCounters
 
 A = ipaddress.IPv4Address
 SEC = 1_000_000
@@ -103,14 +104,65 @@ class TestByteAccounting:
         assert net.counters.bytes["banner_data"] == 95  # 29 + 66
 
     def test_per_second_buckets_reconstruct_totals(self):
-        net, addr = one_host(open_ports={5: None}, base_rtt=400)
+        net, addr = one_host(open_ports={5: None, 7: b"hello\r\n"}, base_rtt=400)
         for port in range(1, 9):
             net.tcp_connect(addr, port, SEC)
             net.clock.sleep(300_000)
         c = net.counters
+        seconds = c.seconds()
+        assert list(seconds) == sorted(set(seconds)) and len(seconds) > 1
         for cls in c.counts:
-            assert sum(c.per_second[cls].values()) == c.counts[cls]
-            assert sum(c.per_second_bytes[cls].values()) == c.bytes[cls]
+            assert sum(c.second_count(sec, (cls,)) for sec in seconds) == c.counts[cls]
+            assert sum(c.second_bytes(sec, (cls,)) for sec in seconds) == c.bytes[cls]
+        assert c.bytes["banner_data"] == 7 + 66
+        assert sum(map(c.second_count, seconds)) == c.total_packets()
+        assert sum(map(c.second_bytes, seconds)) == c.total_bytes()
+
+
+class TestPacketCounters:
+    def test_earlier_second_lands_in_its_own_row(self):
+        c = PacketCounters()
+        c.record("tcp_syn", 5 * SEC)
+        c.record("tcp_syn", 9 * SEC)
+        c.record("tcp_rst", 5 * SEC + 1)        # a second already in the history
+        c.record("banner_data", 7 * SEC, 10)    # a quiet second between two busy ones
+        c.record("icmp_request", 2 * SEC)       # before every busy second
+        c.record("tcp_syn", 9 * SEC + 3)        # the newest second again
+        assert list(c.seconds()) == [2, 5, 7, 9]
+        assert [c.second_count(sec) for sec in (2, 5, 7, 9)] == [1, 2, 1, 2]
+        assert c.second_count(5, ("tcp_rst",)) == 1
+        assert c.second_count(9, ("tcp_syn",)) == 2
+        assert c.second_bytes(7) == 10 + 66
+        assert c.second_bytes(2) == 74
+        assert c.second_count(3) == 0 and c.second_bytes(3) == 0
+        assert c.second_count(10) == 0
+
+    def test_a_very_busy_second_counts_exactly(self):
+        c = PacketCounters()
+        for _ in range(70_000):
+            c.record("tcp_syn", 3 * SEC)
+            c.record("banner_data", 3 * SEC, 100)
+        c.record("tcp_syn", 4 * SEC)
+        assert c.counts["tcp_syn"] == 70_001
+        assert c.second_count(3, ("tcp_syn",)) == 70_000
+        assert c.second_bytes(3, ("banner_data",)) == 70_000 * 166
+        assert c.second_count(4) == 1 and c.second_bytes(4) == 60
+
+    def test_snapshot_is_independent_of_the_original(self):
+        c = PacketCounters()
+        c.record("tcp_syn", 1 * SEC)
+        c.record("banner_data", 1 * SEC, 4)
+        snap = c.snapshot()
+        c.record("tcp_syn", 1 * SEC)
+        c.record("banner_data", 1 * SEC, 4)
+        c.record("tcp_rst", 0)
+        c.record("arp_request", 2 * SEC)
+        assert list(snap.seconds()) == [1]
+        assert snap.counts["tcp_syn"] == 1 and snap.bytes["banner_data"] == 70
+        assert snap.second_count(1) == 2 and snap.second_bytes(1) == 60 + 70
+        assert snap.total_packets() == 2 and snap.total_bytes() == 130
+        snap.record("tcp_ack", 1 * SEC)
+        assert c.counts["tcp_ack"] == 0 and c.second_count(1) == 4
 
 
 class TestReachability:
