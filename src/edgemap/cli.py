@@ -26,7 +26,7 @@ from . import scenario as scenario_mod
 from .diffing import classify_scenario, diff
 from .errors import (CapabilityUnsupported, CorruptRecord, IncomparableFingerprints,
                      MalformedScript, NotFound, TransportDown, TrustedAlreadyExists)
-from .model import AddressRange, EventKind, ScanConfig, config_digest
+from .model import AddressRange, ScanConfig, config_digest
 from .osnet import OsNetwork
 from .probe import full_sweep
 from .rng import Prng
@@ -65,8 +65,8 @@ LOGGER_ENV = "EDGEMAP_LOGGER"
 
 
 def _parse_ports(text: str) -> tuple:
-    lo, _, hi = text.partition("-")
-    return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+    lo, sep, hi = text.partition("-")
+    return int(lo), int(hi if sep else lo)
 
 
 # Every ScanConfig field a config file or a flag may set, with the parser
@@ -284,19 +284,15 @@ def cmd_simulate(args, out) -> int:
         raise ValueError("simulate runs the scenario it names; --backend does not apply")
     config = build_config(args)
     transport = build_transport(f"sim:{args.scenario}", config)
-    tags = set()
     with (nullcontext(args.state_dir) if args.state_dir
           else tempfile.TemporaryDirectory(prefix="edgemap-sim-")) as state_dir:
         store = FingerprintStore(state_dir)
         sink = build_sink(args, stream=out)
-        # every epoch with events reaches the hook, so the tags cover the run
-        sink.trigger_kinds = frozenset(EventKind)
-        sink.safe_state_callback = lambda events: tags.update(classify_scenario(events))
         run_monitor(config, transport, store, sink, max_epochs=args.epochs)
     if args.rates != "none":
         _print_rates(transport.counters, out)
     _print_peaks(transport.counters, out)
-    tags = tags or classify_scenario(())
+    tags = classify_scenario(sink.kinds)
     print("tags " + ",".join(sorted(tag.value for tag in tags)), file=out)
     return EXIT_OK
 
@@ -324,24 +320,27 @@ def make_parser() -> argparse.ArgumentParser:
         prog="edgemap",
         description="Active network scanning with trusted-baseline intrusion detection")
     sub = parser.add_subparsers(dest="command", required=True)
+    # built once and shared by the live commands; simulate builds its own,
+    # since its set_defaults would rewrite the shared actions' defaults
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
-    p = sub.add_parser("baseline", help="learn and persist the trusted fingerprint")
-    _add_common(p)
+    p = sub.add_parser("baseline", parents=[common],
+                       help="learn and persist the trusted fingerprint")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("rebaseline", help="deliberately replace the trusted fingerprint")
-    _add_common(p)
+    p = sub.add_parser("rebaseline", parents=[common],
+                       help="deliberately replace the trusted fingerprint")
     p.add_argument("--force", action="store_true", required=True,
                    help="required; baseline replacement is a deliberate act")
     p.set_defaults(func=cmd_rebaseline)
 
-    p = sub.add_parser("scan", help="one sweep, print results")
-    _add_common(p)
+    p = sub.add_parser("scan", parents=[common], help="one sweep, print results")
     p.add_argument("--out", help="write the fingerprint to this file")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("monitor", help="continuous monitoring against the baseline")
-    _add_common(p)
+    p = sub.add_parser("monitor", parents=[common],
+                       help="continuous monitoring against the baseline")
     p.add_argument("--epochs", type=int, default=None,
                    help="stop after N sweeps (default: run until signalled)")
     p.set_defaults(func=cmd_monitor)

@@ -114,8 +114,6 @@ _TAG_BY_KIND = {
 }
 
 
-def classify_scenario(events) -> set:
-    """Map one epoch's events onto advisory attack-scenario tags."""
-    if not events:
-        return {ScenarioTag.NONE}
-    return {_TAG_BY_KIND[event.kind] for event in events}
+def classify_scenario(kinds) -> set:
+    """Map the event kinds a run raised onto advisory attack-scenario tags."""
+    return {_TAG_BY_KIND[kind] for kind in kinds} or {ScenarioTag.NONE}

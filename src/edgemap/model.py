@@ -108,9 +108,6 @@ class ScanConfig:
         if self.banner_max_bytes <= 0:
             raise ValueError("banner_max_bytes must be strictly positive")
 
-    def ports(self):
-        return range(self.port_range[0], self.port_range[1] + 1)
-
 
 def config_digest(config: ScanConfig) -> int:
     """Stable 64-bit digest over the fields that decide scan comparability.

@@ -111,7 +111,6 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             events = diff(trusted, fp, config, epoch=epoch)
             for event in events:
                 sink.emit_intrusion(event, ts=clock.now())
-            sink.end_epoch(events, epoch, ts=clock.now())
             try:
                 store.save_epoch(fp, epoch)
             except OSError as exc:

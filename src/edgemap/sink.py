@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from shlex import quote
-from typing import Optional
 
 from .model import IntrusionEvent
 from .shellwords import split_line
@@ -123,18 +122,18 @@ def _fit_udp(line: str) -> bytes:
 
 @dataclass
 class EventSink:
-    """Serializes events to every configured output and drives the safe-state hook.
+    """Serializes events to every configured output.
 
     `reports` keeps the latest failed delivery of each output that has
-    failed, in output order, so it stays bounded however long the sink
-    runs; a delivered line leaves nothing behind.
+    failed, in output order, and `kinds` the set of event kinds emitted,
+    at most one entry per `EventKind`; so the sink stays bounded however
+    long it runs, and a delivered line leaves nothing else behind.
     """
 
     outputs: tuple
     node_id: str = "edgemap"
-    trigger_kinds: frozenset = frozenset()
-    safe_state_callback: Optional[object] = None
     reports: list = field(default_factory=list)
+    kinds: set = field(default_factory=set)
 
     def __post_init__(self):
         if not self.outputs:
@@ -155,20 +154,9 @@ class EventSink:
                             if output.name in latest]
 
     def emit_intrusion(self, event: IntrusionEvent, ts: int) -> None:
+        self.kinds.add(event.kind)
         self._deliver(format_intrusion(self.node_id, event.scan_epoch, ts, event))
 
     def emit_operational(self, message: str, epoch: int, ts: int,
                          severity: Severity = Severity.INFO) -> None:
         self._deliver(format_operational(self.node_id, epoch, ts, message, severity))
-
-    def end_epoch(self, events, epoch: int, ts: int) -> None:
-        """Invoke the safe-state hook at most once per epoch, after emission."""
-        if self.safe_state_callback is None:
-            return
-        if not any(event.kind in self.trigger_kinds for event in events):
-            return
-        try:
-            self.safe_state_callback(events)
-        except Exception as exc:
-            self.emit_operational(f"safe-state hook failed: {exc}", epoch, ts,
-                                  Severity.WARNING)

@@ -202,6 +202,8 @@ class FingerprintStore:
         fp = self._load(self._trusted_path(digest))
         if fp.config_digest != digest:
             raise CorruptRecord("stored digest does not match filename")
+        if not fp.trusted:
+            raise CorruptRecord("stored baseline is not marked trusted")
         return fp
 
     def has_trusted(self, digest: int) -> bool:

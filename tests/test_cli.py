@@ -1,12 +1,13 @@
 import io
 import socket
+from dataclasses import replace
 from unittest.mock import ANY
 
 import pytest
 
 from edgemap import cli
 from edgemap.osnet import OsNetwork
-from edgemap.store import loads_fingerprint
+from edgemap.store import dumps_fingerprint, loads_fingerprint
 from edgemap.transport import ProbeReply
 
 CONF = """\
@@ -191,6 +192,18 @@ class TestSimulate:
         assert "kind=PortOpened addr=10.0.0.1 port=7" in text
         assert text.rstrip().endswith("tags ServiceChanged")
 
+    def test_tags_are_the_union_over_epochs(self, ws):
+        # epoch 1 sees 10.0.0.2 gone; by epoch 2 it is back and port 7 is open
+        (ws / "union.scn").write_text(BASE_SCN + "at 30s remove-host 10.0.0.2\n"
+                                      "at 100s add-host 10.0.0.2 icmp=off\n"
+                                      "at 100s open-port 10.0.0.1 7\n")
+        code, text = run(_simulate(ws, "union.scn", "--epochs", "2", "--rates", "none"))
+        assert code == 0
+        kinds = [line.split(" kind=")[1].split()[0] for line in text.splitlines()
+                 if " kind=" in line and "kind=Operational" not in line]
+        assert kinds == ["HostRemoved", "PortOpened"]
+        assert text.rstrip().endswith("tags NodeRemoved,ServiceChanged")
+
     def test_rates_table_and_peaks(self, ws):
         code, text = run(["simulate", str(ws / "net.scn"),
                           "--config", str(ws / "edge.conf"), "--epochs", "0"])
@@ -239,6 +252,14 @@ def _corrupt_baseline(ws):
         path.write_bytes(b"not a fingerprint\n")
 
 
+def _untrusted_baseline(ws):
+    # a well-formed record, checksum and all, that says trusted 0
+    _baseline(ws)
+    for path in (ws / "state").glob("*.trusted.fp"):
+        fp = loads_fingerprint(path.read_bytes())
+        path.write_bytes(dumps_fingerprint(replace(fp, trusted=False)))
+
+
 def _plain_file(ws):
     (ws / "plain").write_text("")
 
@@ -269,6 +290,8 @@ EXIT_CODE_ROWS = [
      lambda ws: ["scan", "--out", str(ws / "plain" / "a.fp")] + common(ws), 3),
     ("monitor", "corrupt trusted baseline", _corrupt_baseline,
      lambda ws: ["monitor", "--epochs", "1"] + common(ws), 5),
+    ("monitor", "baseline not marked trusted", _untrusted_baseline,
+     lambda ws: ["monitor", "--epochs", "1"] + common(ws), 5),
     ("baseline", "missing scenario", None,
      lambda ws: ["baseline"] + common(ws, "missing.scn"), 6),
     ("rebaseline", "missing scenario", None,
@@ -293,6 +316,8 @@ EXIT_CODE_ROWS = [
     ("scan", "non-boolean config value", _write("bad.conf", CONF + "syn_scan = ture\n"),
      lambda ws: ["scan", "--config", str(ws / "bad.conf"),
                  "--backend", f"sim:{ws / 'net.scn'}"], 2),
+    ("scan", "port range with no upper end", None,
+     lambda ws: ["scan", "--ports", "1-"] + common(ws), 2),
     ("simulate", "backend given", None,
      lambda ws: _simulate(ws, "net.scn", "--backend", f"sim:{ws / 'change.scn'}"), 2),
 ]
@@ -343,3 +368,13 @@ class TestSinkWiring:
         assert run(_simulate(ws, "change.scn", "--sink", sink, "--sink", sink)) == (2, "")
         assert capsys.readouterr().err == f"error: sink given more than once: {sink}\n"
         assert not log.exists()
+
+
+def test_simulate_defaults_leave_the_live_commands_alone():
+    # the live commands share one set of common flags; simulate's throwaway
+    # state dir and scenario backend must not become their defaults
+    parser = cli.make_parser()
+    monitor = parser.parse_args(["monitor"])
+    simulate = parser.parse_args(["simulate", "net.scn"])
+    assert (monitor.state_dir, monitor.backend) == ("edgemap-state", "os")
+    assert (simulate.state_dir, simulate.backend) == (None, None)

@@ -6,8 +6,7 @@ import pytest
 
 from edgemap.diffing import ScenarioTag, classify_scenario, diff
 from edgemap.errors import IncomparableFingerprints, UntrustedBaseline
-from edgemap.model import (Alive, EventKind, HostRecord, IntrusionEvent,
-                           NetworkFingerprint, PortState)
+from edgemap.model import Alive, EventKind, HostRecord, NetworkFingerprint, PortState
 from conftest import random_fingerprint, small_config
 from oracles import brute_force_diff, event_tuples
 
@@ -181,25 +180,18 @@ class TestOracleEquivalence:
 
 
 class TestClassifyScenario:
-    def ev(self, kind, port=None):
-        return IntrusionEvent(kind=kind, address=A("10.0.0.1"), port=port)
-
     def test_empty_is_none(self):
-        assert classify_scenario([]) == {ScenarioTag.NONE}
+        assert classify_scenario(set()) == {ScenarioTag.NONE}
 
     def test_each_kind_maps_to_its_tag(self):
-        assert classify_scenario([self.ev(EventKind.HOST_REMOVED)]) == \
-            {ScenarioTag.NODE_REMOVED}
-        assert classify_scenario([self.ev(EventKind.HOST_ADDED)]) == \
-            {ScenarioTag.NEW_DEVICE}
-        assert classify_scenario([self.ev(EventKind.LATENCY_ANOMALY)]) == \
+        assert classify_scenario({EventKind.HOST_REMOVED}) == {ScenarioTag.NODE_REMOVED}
+        assert classify_scenario({EventKind.HOST_ADDED}) == {ScenarioTag.NEW_DEVICE}
+        assert classify_scenario({EventKind.LATENCY_ANOMALY}) == \
             {ScenarioTag.MITM_SUSPECTED}
         for kind in (EventKind.PORT_OPENED, EventKind.PORT_CLOSED,
                      EventKind.BANNER_CHANGED):
-            assert classify_scenario([self.ev(kind, port=1)]) == \
-                {ScenarioTag.SERVICE_CHANGED}
+            assert classify_scenario({kind}) == {ScenarioTag.SERVICE_CHANGED}
 
     def test_mixed_events_collect_tags(self):
-        tags = classify_scenario([self.ev(EventKind.HOST_ADDED),
-                                  self.ev(EventKind.PORT_OPENED, port=1)])
+        tags = classify_scenario({EventKind.HOST_ADDED, EventKind.PORT_OPENED})
         assert tags == {ScenarioTag.NEW_DEVICE, ScenarioTag.SERVICE_CHANGED}

@@ -78,9 +78,6 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             small_config(**bad)
 
-    def test_ports_iterates_inclusive(self):
-        assert list(small_config(port_range=(3, 5)).ports()) == [3, 4, 5]
-
 
 class TestConfigDigest:
     def oracle(self, c):

@@ -1,12 +1,11 @@
 import ipaddress
 import math
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
 from edgemap.errors import TransportDown
-from edgemap.model import AddressRange, EventKind
+from edgemap.model import AddressRange
 from edgemap.rng import Prng
 from edgemap.scheduler import make_schedule, run_monitor
 from edgemap.simnet import SimHostSpec, SimNetwork
@@ -89,8 +88,7 @@ class IcmpGone(SimNetwork):
         return super().icmp_ping(target, timeout)
 
 
-def make_parts(tmp_path, actions=(), cfg=None, hook=None, triggers=frozenset(),
-               net_cls=SimNetwork):
+def make_parts(tmp_path, actions=(), cfg=None, net_cls=SimNetwork):
     cfg = cfg or small_config()
     net = net_cls(base_specs(), actions, seed=cfg.seed)
     store = RecordingStore(tmp_path / "state")
@@ -102,8 +100,7 @@ def make_parts(tmp_path, actions=(), cfg=None, hook=None, triggers=frozenset(),
         def write_line(self, line):
             lines.append(line)
 
-    sink = EventSink((Capture(),), node_id="n1",
-                     trigger_kinds=triggers, safe_state_callback=hook)
+    sink = EventSink((Capture(),), node_id="n1")
     return cfg, net, store, sink, lines
 
 
@@ -145,17 +142,6 @@ class TestRunMonitor:
         assert all(e["addr"] == "10.0.0.2" for e in events)
         # epochs are stamped on the events in order
         assert [e["epoch"] for e in events] == ["1", "2"]
-
-    def test_safe_state_hook_once_per_epoch(self, tmp_path):
-        calls = []
-        one = base_specs()[0]
-        actions = ((40 * SEC, one.address, replace(one, open_ports={**one.open_ports, 9: None})),)
-        cfg, net, store, sink, _ = make_parts(
-            tmp_path, actions, hook=calls.append,
-            triggers=frozenset({EventKind.PORT_OPENED}))
-        run_monitor(cfg, net, store, sink, max_epochs=3)
-        assert len(calls) == 3
-        assert all(len(batch) == 1 for batch in calls)
 
     def test_stop_before_baseline(self, tmp_path):
         cfg, net, store, sink, _ = make_parts(tmp_path)
@@ -220,14 +206,13 @@ def test_monitor_memory_stays_flat(tmp_path):
     """
     snapshots = {}
     busy_seconds = {}
-    epochs = 0
 
-    def measure(events):
-        nonlocal epochs
-        epochs += 1
-        if epochs in (100, 1000):
-            snapshots[epochs] = tracemalloc.take_snapshot()
-            busy_seconds[epochs] = len(net.counters.seconds())
+    class Measuring(FingerprintStore):
+        def save_epoch(self, fp, epoch):
+            super().save_epoch(fp, epoch)
+            if epoch in (100, 1000):
+                snapshots[epoch] = tracemalloc.take_snapshot()
+                busy_seconds[epoch] = len(net.counters.seconds())
 
     class Discard:
         name = "discard"
@@ -238,11 +223,10 @@ def test_monitor_memory_stays_flat(tmp_path):
     cfg = small_config()
     actions = ((40 * SEC, A("10.0.0.2"), None),)
     net = SimNetwork(base_specs(), actions, seed=cfg.seed)
-    sink = EventSink((Discard(),), trigger_kinds=frozenset(EventKind),
-                     safe_state_callback=measure)
+    sink = EventSink((Discard(),))
     tracemalloc.start()
     try:
-        run_monitor(cfg, net, FingerprintStore(tmp_path), sink, max_epochs=1000)
+        run_monitor(cfg, net, Measuring(tmp_path), sink, max_epochs=1000)
     finally:
         tracemalloc.stop()
     def traced(epoch, *filters):

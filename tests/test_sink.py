@@ -170,32 +170,11 @@ class TestEventSink:
         assert sink.reports == [DeliveryReport("late", False, "late failure 10000"),
                                 DeliveryReport("full-disk", False, "full-disk failure 10000")]
 
-    def test_safe_state_hook_fires_once_for_trigger_kinds(self):
-        calls = []
-        sink, _ = self.make(trigger_kinds=frozenset({EventKind.HOST_ADDED}),
-                            safe_state_callback=calls.append)
-        events = [ev(kind=EventKind.HOST_ADDED, port=None),
-                  ev(kind=EventKind.HOST_ADDED, port=None,
-                     address=A("10.0.0.9"))]
-        sink.end_epoch(events, epoch=1, ts=0)
-        assert calls == [events]
-
-    def test_hook_skipped_without_trigger(self):
-        calls = []
-        sink, _ = self.make(trigger_kinds=frozenset({EventKind.HOST_REMOVED}),
-                            safe_state_callback=calls.append)
-        sink.end_epoch([ev()], epoch=1, ts=0)
-        sink.end_epoch([], epoch=2, ts=0)
-        assert calls == []
-
-    def test_hook_failure_becomes_operational_warning(self):
-        def hook(events):
-            raise RuntimeError("relay stuck")
-
-        sink, captured = self.make(trigger_kinds=frozenset({EventKind.PORT_OPENED}),
-                                   safe_state_callback=hook)
-        sink.end_epoch([ev()], epoch=1, ts=0)
-        assert len(captured) == 1
-        fields = parse_line(captured[0])
-        assert fields["severity"] == "warning"
-        assert "relay stuck" in fields["message"]
+    def test_kinds_collects_each_emitted_kind_once(self):
+        sink, _ = self.make()
+        assert sink.kinds == set()
+        for _ in range(3):
+            sink.emit_intrusion(ev(), ts=0)
+            sink.emit_intrusion(ev(kind=EventKind.HOST_ADDED, port=None), ts=0)
+        sink.emit_operational("store write failed", epoch=1, ts=0)
+        assert sink.kinds == {EventKind.PORT_OPENED, EventKind.HOST_ADDED}

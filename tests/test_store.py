@@ -181,6 +181,14 @@ class TestFingerprintStore:
         with pytest.raises(CorruptRecord):
             store.load_trusted(fp.config_digest)
 
+    def test_trusted_record_without_the_trusted_flag_raises(self, tmp_path):
+        # a well-formed record, checksum and all, that says trusted 0
+        store = FingerprintStore(tmp_path)
+        fp = sample_fp()
+        (tmp_path / f"{fp.config_digest:016x}.trusted.fp").write_bytes(dumps_fingerprint(fp))
+        with pytest.raises(CorruptRecord, match="not marked trusted"):
+            store.load_trusted(fp.config_digest)
+
     def test_no_temp_files_left_behind(self, tmp_path):
         store = FingerprintStore(tmp_path)
         store.save_trusted(sample_fp(trusted=True))
