@@ -12,6 +12,9 @@ from .rng import Prng
 from .sink import Severity
 from .timebase import MILLISECOND
 
+# epoch files kept per config digest; a /24 epoch is about 1 MB
+KEEP_EPOCHS = 100
+
 
 @dataclass
 class ScanSchedule:
@@ -61,10 +64,12 @@ def run_monitor(config: ScanConfig, transport, store, sink,
                 stop=None, max_epochs=None) -> int:
     """The continuous scan loop.
 
-    Waits out the startup jitter, learns the trusted baseline if the
-    store has none for this config, then sweeps every rescan interval and
-    diffs each result against the trusted baseline.  Epochs are numbered
-    on from the highest one the store already holds.  A failed sweep (not
+    Reads the trusted baseline first, so a corrupt one fails before the
+    startup jitter is waited out.  Learns the baseline if the store has
+    none for this config, then sweeps every rescan interval and diffs
+    each result against the trusted baseline.  Epochs are numbered on
+    from the highest one the store already holds, and the store keeps
+    only the newest KEEP_EPOCHS of them.  A failed sweep (not
     diffed, not stored) or store write becomes an operational event and
     the loop carries on; only a stop request (or the epoch budget, when
     set) ends it, or a failed baseline sweep, which leaves nothing trusted.
@@ -74,14 +79,14 @@ def run_monitor(config: ScanConfig, transport, store, sink,
     rng = Prng(config.seed)
     digest = config_digest(config)
 
-    schedule = make_schedule(config, rng)
-    if _wait(clock, schedule.startup_delay, stop):
-        return 0
-
     try:
         trusted = store.load_trusted(digest)
     except NotFound:
         trusted = None
+
+    schedule = make_schedule(config, rng)
+    if _wait(clock, schedule.startup_delay, stop):
+        return 0
 
     if trusted is None:
         try:
@@ -95,7 +100,10 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             f"open_ports={trusted.open_port_count()}",
             epoch=0, ts=clock.now())
 
+    # each epoch number the loop passes takes epoch k - KEEP_EPOCHS with
+    # it, stored or not; older leftovers of an earlier run go here, once
     first = epoch = store.latest_epoch(digest) + 1
+    store.prune_epochs(digest, through=first - KEEP_EPOCHS)
     while max_epochs is None or epoch - first < max_epochs:
         if _wait(clock, config.rescan_interval, stop):
             break
@@ -116,5 +124,10 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             except OSError as exc:
                 sink.emit_operational(f"store write failed: {exc}", epoch=epoch,
                                       ts=clock.now(), severity=Severity.WARNING)
+        try:
+            store.delete_epoch(digest, epoch - KEEP_EPOCHS)
+        except OSError as exc:
+            sink.emit_operational(f"store delete failed: {exc}", epoch=epoch,
+                                  ts=clock.now(), severity=Severity.WARNING)
         epoch += 1
     return epoch - first

@@ -14,6 +14,13 @@ File format (bit-exact, ascii, LF line endings):
     end
     checksum <8 lowercase hex>
 
+Each host is one block in exactly this line order: its `host` line, then
+its `rtt` line if it is Up, then its `port` lines, then its `banner` lines
+(hex of even length, possibly empty).  The loader enforces that order:
+a line out of it, or one that fits the layout nowhere, is
+CorruptRecord, and the error names that line or the host record it
+left invalid.  Numbers are unsigned decimal.
+
 Hosts appear in ascending numeric address order, ports ascending, so two
 records of the same network are byte-identical and file diffs stay
 readable.  The checksum is CRC-32 over every byte up to and including
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import ipaddress
 import os
+import re
 import zlib
 from pathlib import Path
 
@@ -34,8 +42,9 @@ from .model import Alive, HostRecord, NetworkFingerprint, PortState
 HEADER = "edgemap-fingerprint v1"
 
 _ALIVE_WIRE = {Alive.UP: "up", Alive.SILENT_UP: "silent"}
-_ALIVE_BY_WIRE = {v: k for k, v in _ALIVE_WIRE.items()}
-_STATE_BY_WIRE = {s.value: s for s in PortState}
+# the loader reads the record as bytes
+_ALIVE_BY_WIRE = {v.encode(): k for k, v in _ALIVE_WIRE.items()}
+_STATE_BY_WIRE = {s.value.encode(): s for s in PortState}
 
 
 def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
@@ -64,78 +73,72 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
     return body + f"checksum {checksum:08x}\n".encode("ascii")
 
 
+# The layout of the module docstring, matched on the record's bytes one
+# host at a time.  A repeated group keeps a backtracking entry of a few
+# hundred bytes per repetition until its match returns, so port lines are
+# matched, and their ports built, at most 1,024 at a time (one match for
+# the default port range), and banner lines (hex of any length) one at a
+# time.
+_PREAMBLE = re.compile(HEADER.encode() + rb"\ndigest ([0-9a-f]{16})\ntrusted ([01])\n"
+                       rb"started ([0-9]+)\nfinished ([0-9]+)\n")
+_HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:[0-9]+ )*[0-9]+)\n)?")
+_PORTS = re.compile(rb"(?:port [0-9]+ (?:open|closed|filtered)\n){1,1024}")
+_BANNER = re.compile(rb"banner ([0-9]+) ([0-9a-f]*)\n")
+
+
 def loads_fingerprint(data: bytes) -> NetworkFingerprint:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CorruptRecord("record is not ascii") from exc
-    if not text.endswith("\n"):
+    if not data.isascii():
+        raise CorruptRecord("record is not ascii")
+    if not data.endswith(b"\n"):
         raise CorruptRecord("record missing final newline")
-    lines = text[:-1].split("\n")
-    if len(lines) < 7 or not lines[-1].startswith("checksum "):
+    cut = data.rfind(b"\n", 0, -1) + 1  # start of the checksum line
+    if not data.startswith(b"checksum ", cut):
         raise CorruptRecord("record missing checksum trailer")
-    body = ("\n".join(lines[:-1]) + "\n").encode("ascii")
     try:
-        stated = int(lines[-1].split(" ", 1)[1], 16)
-    except (IndexError, ValueError) as exc:
+        stated = int(data[cut + len(b"checksum "):], 16)
+    except ValueError as exc:
         raise CorruptRecord("unreadable checksum line") from exc
-    actual = zlib.crc32(body) & 0xFFFFFFFF
+    actual = zlib.crc32(memoryview(data)[:cut])
     if stated != actual:
         raise CorruptRecord(f"checksum mismatch: stated {stated:08x}, actual {actual:08x}")
-    return _parse_record(lines[:-1])
-
-
-def _parse_record(lines) -> NetworkFingerprint:
-    def fail(msg):
-        raise CorruptRecord(msg)
-
-    if lines[0] != HEADER:
-        fail(f"bad header line {lines[0]!r}")
-    if lines[-1] != "end":
-        fail("record missing end marker")
-    try:
-        digest = int(lines[1].split(" ", 1)[1], 16)
-        trusted = {"0": False, "1": True}[lines[2].split(" ", 1)[1]]
-        started = int(lines[3].split(" ", 1)[1])
-        finished = int(lines[4].split(" ", 1)[1])
-    except (IndexError, ValueError, KeyError):
-        fail("bad record preamble")
-
+    if not data.startswith(HEADER.encode() + b"\n"):
+        header = data[:data.index(b"\n")].decode()
+        raise CorruptRecord(f"bad header line {header!r}")
+    head = _PREAMBLE.match(data)
+    if head is None:
+        raise CorruptRecord("bad record preamble")
     hosts = {}
-    current = None  # [addr, alive, rtt, ports, banners]
-
-    def flush():
-        if current is None:
-            return
-        addr, alive, rtt, ports, banners = current
+    pos = head.end()
+    while host := _HOST.match(data, pos):
         try:
-            hosts[addr] = HostRecord(address=addr, alive=alive,
-                                     rtt_samples=tuple(rtt), ports=ports,
-                                     banners=banners)
+            addr = ipaddress.IPv4Address(host[1].decode())
         except ValueError as exc:
-            fail(f"invalid host record for {addr}: {exc}")
-
-    for line in lines[5:-1]:
-        parts = line.split(" ")
+            raise CorruptRecord(f"bad host address {host[1].decode()!r}") from exc
+        pos = host.end()
+        ports = {}
+        while run := _PORTS.match(data, pos):
+            words = run[0].split()
+            ports.update(zip(map(int, words[1::3]), map(_STATE_BY_WIRE.__getitem__, words[2::3])))
+            pos = run.end()
+        banners = {}
+        while (banner := _BANNER.match(data, pos)) and len(banner[2]) % 2 == 0:
+            banners[int(banner[1])] = bytes.fromhex(banner[2].decode())
+            pos = banner.end()
+        rtt = tuple(map(int, host[3].split())) if host[3] else ()
         try:
-            if parts[0] == "host":
-                flush()
-                addr = ipaddress.IPv4Address(parts[1])
-                current = [addr, _ALIVE_BY_WIRE[parts[2]], [], {}, {}]
-            elif parts[0] == "rtt" and current is not None:
-                current[2] = [int(p) for p in parts[1:]]
-            elif parts[0] == "port" and current is not None:
-                current[3][int(parts[1])] = _STATE_BY_WIRE[parts[2]]
-            elif parts[0] == "banner" and current is not None:
-                current[4][int(parts[1])] = bytes.fromhex(parts[2])
-            else:
-                fail(f"unexpected line {line!r}")
-        except (IndexError, ValueError, KeyError, ipaddress.AddressValueError):
-            fail(f"unparseable line {line!r}")
-    flush()
+            hosts[addr] = HostRecord(address=addr, alive=_ALIVE_BY_WIRE[host[2]],
+                                     rtt_samples=rtt, ports=ports, banners=banners)
+        except ValueError as exc:
+            raise CorruptRecord(f"invalid host record for {addr}: {exc}") from exc
+    if pos == cut:
+        raise CorruptRecord("record missing end marker")
+    if data[pos:cut] != b"end\n":
+        line = data[pos:data.index(b"\n", pos)].decode()
+        raise CorruptRecord(f"unexpected line {line!r}")
     try:
-        return NetworkFingerprint(started_at=started, finished_at=finished,
-                                  config_digest=digest, hosts=hosts, trusted=trusted)
+        return NetworkFingerprint(started_at=int(head[3]), finished_at=int(head[4]),
+                                  config_digest=int(head[1], 16), hosts=hosts,
+                                  trusted=head[2] == b"1")
     except ValueError as exc:
         raise CorruptRecord(str(exc)) from exc
 
@@ -157,8 +160,12 @@ class FingerprintStore:
     def _trusted_path(self, digest: int) -> Path:
         return self.directory / f"{digest:016x}.trusted.fp"
 
+    @staticmethod
+    def _epoch_name(digest: int, epoch: int) -> str:
+        return f"{digest:016x}.epoch{epoch:06d}.fp"
+
     def _epoch_path(self, digest: int, epoch: int) -> Path:
-        return self.directory / f"{digest:016x}.epoch{epoch:06d}.fp"
+        return self.directory / self._epoch_name(digest, epoch)
 
     def _write(self, path: Path, fp: NetworkFingerprint, durable: bool = False) -> None:
         """Write through a temp file and a rename.
@@ -193,13 +200,13 @@ class FingerprintStore:
     def save_epoch(self, fp: NetworkFingerprint, epoch: int) -> None:
         self._write(self._epoch_path(fp.config_digest, epoch), fp)
 
-    def _load(self, path: Path) -> NetworkFingerprint:
-        if not path.exists():
-            raise NotFound(str(path))
-        return loads_fingerprint(path.read_bytes())
-
     def load_trusted(self, digest: int) -> NetworkFingerprint:
-        fp = self._load(self._trusted_path(digest))
+        path = self._trusted_path(digest)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError as exc:
+            raise NotFound(str(path)) from exc
+        fp = loads_fingerprint(data)
         if fp.config_digest != digest:
             raise CorruptRecord("stored digest does not match filename")
         if not fp.trusted:
@@ -209,16 +216,32 @@ class FingerprintStore:
     def has_trusted(self, digest: int) -> bool:
         return self._trusted_path(digest).exists()
 
-    def latest_epoch(self, digest: int) -> int:
-        """Highest epoch number stored for the digest, 0 when there is none.
-
-        Read from the numbers in the file names: a name sort would put
-        epoch1000000 before epoch999999.
-        """
+    def _epochs(self, digest: int) -> list:
+        """The numbers of the digest's stored epochs, read from the file
+        names: a name sort would put epoch1000000 before epoch999999."""
         prefix = f"{digest:016x}.epoch"
         numbers = (path.name[len(prefix):-len(".fp")]
                    for path in self.directory.glob(f"{prefix}*.fp"))
-        return max((int(n) for n in numbers if n.isdecimal()), default=0)
+        return [int(n) for n in numbers if n.isdecimal()]
+
+    def latest_epoch(self, digest: int) -> int:
+        """Highest epoch number stored for the digest, 0 when there is none."""
+        return max(self._epochs(digest), default=0)
+
+    def prune_epochs(self, digest: int, through: int) -> None:
+        """Delete every epoch file of the digest numbered `through` or lower."""
+        for epoch in self._epochs(digest):
+            if epoch <= through:
+                self.delete_epoch(digest, epoch)
+
+    def delete_epoch(self, digest: int, epoch: int) -> None:
+        # a plain string, not a Path: pathlib (Python 3.11) interns every
+        # file name it parses, and one more interned name an epoch cost
+        # about 1 MB of peak memory over a few thousand epochs
+        try:
+            os.unlink(os.path.join(self.directory, self._epoch_name(digest, epoch)))
+        except FileNotFoundError:
+            pass
 
     def delete_trusted(self, digest: int) -> None:
         path = self._trusted_path(digest)

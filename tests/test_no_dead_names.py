@@ -1,9 +1,10 @@
-"""Every function, class and method of the package is used by the program.
+"""Every function, class, method and module-level name of the package is
+used by the program.
 
 A name counts as used when it appears as a word on some line of `src/`
 or `benchmark/` other than a line that defines it; tests do not count,
-so a name only a test calls is dead code.  Dunder methods are left out:
-Python calls them.
+so a name only a test calls is dead code.  Dunder names are left out:
+Python reads them.
 """
 
 import ast
@@ -14,17 +15,28 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "edgemap"
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions():
-    """(name, path, line) for each top-level function and class and each method."""
+    """(name, path, line) for each top-level function, class and assigned
+    name, and each method."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield node.name, path, node.lineno
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not is_dunder(name.id):
+                            yield name.id, path, node.lineno
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not (member.name.startswith("__") and member.name.endswith("__"))):
+                            and not is_dunder(member.name)):
                         yield member.name, path, member.lineno
 
 

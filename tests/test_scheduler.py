@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from edgemap.errors import TransportDown
+from edgemap.errors import CorruptRecord, TransportDown
 from edgemap.model import AddressRange
 from edgemap.rng import Prng
-from edgemap.scheduler import make_schedule, run_monitor
+from edgemap.scheduler import KEEP_EPOCHS, make_schedule, run_monitor
 from edgemap.simnet import SimHostSpec, SimNetwork
 from edgemap.sink import EventSink, parse_line
 from edgemap.store import FingerprintStore, loads_fingerprint
@@ -86,6 +86,23 @@ class IcmpGone(SimNetwork):
         if self.clock.now() >= self.down_at:
             raise TransportDown("no ICMP socket available")
         return super().icmp_ping(target, timeout)
+
+
+class Outage(SimNetwork):
+    """A network whose ICMP socket is gone for its next `sweeps_down` pings."""
+
+    sweeps_down = 0
+
+    def icmp_ping(self, target, timeout):
+        if self.sweeps_down:
+            self.sweeps_down -= 1
+            raise TransportDown("no ICMP socket available")
+        return super().icmp_ping(target, timeout)
+
+
+def stored_epochs(tmp_path):
+    names = (tmp_path / "state").glob("*.epoch*.fp")
+    return sorted(int(path.name[-9:-3]) for path in names)
 
 
 def make_parts(tmp_path, actions=(), cfg=None, net_cls=SimNetwork):
@@ -181,6 +198,47 @@ class TestRunMonitor:
         with pytest.raises(TransportDown):
             run_monitor(cfg, net, store, sink, max_epochs=1)
         assert store.written == []
+
+    def test_corrupt_baseline_fails_before_the_startup_wait(self, tmp_path):
+        cfg, net, store, sink, _ = make_parts(
+            tmp_path, cfg=small_config(startup_delay_min=60 * SEC,
+                                       startup_delay_max=60 * SEC))
+        run_monitor(cfg, net, store, sink, max_epochs=0)
+        trusted = tmp_path / "state" / f"{config_digest(cfg):016x}.trusted.fp"
+        trusted.write_bytes(trusted.read_bytes()[:-5] + b"XXXX\n")
+        net = SimNetwork(base_specs(), (), seed=cfg.seed)
+        with pytest.raises(CorruptRecord):
+            run_monitor(cfg, net, store, sink, max_epochs=1)
+        assert net.clock.now() == 0
+
+    def test_only_the_newest_epoch_files_stay(self, tmp_path):
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        assert KEEP_EPOCHS == 100
+        assert run_monitor(cfg, net, store, sink, max_epochs=1000) == 1000
+        assert stored_epochs(tmp_path) == list(range(901, 1001))
+        # a restart numbers on from the newest kept epoch, and a leftover
+        # older than the window goes at start
+        store.save_epoch(store.load_trusted(config_digest(cfg)), 5)
+        assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
+        assert stored_epochs(tmp_path) == list(range(903, 1003))
+
+    def test_epochs_without_a_file_still_move_the_window(self, tmp_path):
+        cfg, net, store, sink, lines = make_parts(tmp_path, net_cls=Outage)
+
+        class Store(RecordingStore):
+            def save_epoch(self, fp, epoch):
+                if epoch == 140:
+                    raise OSError("disk full")
+                super().save_epoch(fp, epoch)
+                if epoch == 119:
+                    net.sweeps_down = 10
+
+        store = Store(tmp_path / "state")
+        assert run_monitor(cfg, net, store, sink, max_epochs=150) == 150
+        failed = {int(parse_line(line)["epoch"]) for line in lines
+                  if "sweep failed" in line or "store write failed" in line}
+        assert 140 in failed and len(failed) > 1
+        assert stored_epochs(tmp_path) == [e for e in range(51, 151) if e not in failed]
 
     def test_virtual_time_progression(self, tmp_path):
         cfg, net, store, sink, _ = make_parts(

@@ -2,16 +2,20 @@ import dataclasses
 import ipaddress
 import os
 import random
+import re
 import stat
+import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from edgemap.errors import CorruptRecord, NotFound, TrustedAlreadyExists
 from edgemap.model import Alive, HostRecord, NetworkFingerprint, PortState
 from edgemap.store import (FingerprintStore, dumps_fingerprint,
                            loads_fingerprint)
 from conftest import random_fingerprint
+from test_golden import SCENARIOS, SIMULATE_SHA256, backend, run
 
 A = ipaddress.IPv4Address
 
@@ -75,6 +79,99 @@ class TestSerialization:
             assert loads_fingerprint(dumps_fingerprint(fp)) == fp
 
 
+@st.composite
+def host_records(draw, address):
+    """A host with 0 to 65,535 ports; states come from a drawn seed, since
+    drawing 65,535 of them one by one is slow."""
+    alive = draw(st.sampled_from([Alive.UP, Alive.SILENT_UP]))
+    rtt = ()
+    if alive is Alive.UP:
+        rtt = tuple(draw(st.lists(st.integers(0, 10**7), min_size=1, max_size=4)))
+    count = draw(st.integers(0, 65535))
+    states = random.Random(draw(st.integers(0, 2**32))).choices(list(PortState), k=count)
+    ports = dict(zip(random.Random(count).sample(range(1, 65536), count), states))
+    open_ports = sorted(p for p, state in ports.items() if state is PortState.OPEN)
+    banners = {p: draw(st.binary(max_size=12)) for p in open_ports[:draw(st.integers(0, 4))]}
+    return HostRecord(address=address, alive=alive, rtt_samples=rtt,
+                      ports=ports, banners=banners)
+
+
+@st.composite
+def fingerprints(draw):
+    octets = draw(st.lists(st.integers(1, 254), max_size=3, unique=True))
+    started = draw(st.integers(0, 2**63))
+    return NetworkFingerprint(
+        started_at=started, finished_at=started + draw(st.integers(0, 10**12)),
+        config_digest=draw(st.integers(0, 2**64 - 1)),
+        hosts={A(f"10.0.0.{o}"): draw(host_records(A(f"10.0.0.{o}"))) for o in octets},
+        trusted=draw(st.booleans()))
+
+
+def seal(body: bytes) -> bytes:
+    """A record of the body with a correct checksum trailer."""
+    return body + f"checksum {zlib.crc32(body):08x}\n".encode()
+
+
+class TestCodecProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fingerprints())
+    @example(dataclasses.replace(sample_fp(), hosts={
+        A("10.0.0.1"): HostRecord(address=A("10.0.0.1"), alive=Alive.UP, rtt_samples=(5,),
+                                  ports=dict.fromkeys(range(1, 65536), PortState.OPEN),
+                                  banners={22: b""}),  # written as "banner 22 "
+        A("10.0.0.2"): HostRecord(address=A("10.0.0.2"), alive=Alive.SILENT_UP)}))
+    def test_loads_inverts_dumps(self, fp):
+        assert loads_fingerprint(dumps_fingerprint(fp)) == fp
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+    def test_dumps_inverts_loads_on_the_pinned_records(self, name, tmp_path):
+        run(["simulate", str(SCENARIOS / name), "--state-dir", str(tmp_path)] + backend(name))
+        paths = sorted(tmp_path.glob("*.fp"))
+        assert len(paths) == len(SIMULATE_SHA256[name][1])
+        for path in paths:
+            data = path.read_bytes()
+            assert dumps_fingerprint(loads_fingerprint(data)) == data
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_a_line_moved_out_of_its_place_is_corrupt(self, data):
+        lines = dumps_fingerprint(sample_fp()).split(b"\n")[:-2]  # up to "end"
+        movable = [i for i, line in enumerate(lines)
+                   if line.split(b" ")[0] in (b"rtt", b"port", b"banner")]
+        source = data.draw(st.sampled_from(movable))
+        moved = lines[:source] + lines[source + 1:]
+        moved.insert(data.draw(st.integers(0, len(moved))), lines[source])
+        # the layout over the first letter of each line: five preamble
+        # lines, then per host its host line, rtt, ports and banners
+        kinds = bytes(line[0] for line in moved)
+        assume(not re.fullmatch(rb"edtsf(hr?p*b*)*e", kinds))
+        with pytest.raises(CorruptRecord):
+            loads_fingerprint(seal(b"\n".join(moved) + b"\n"))
+
+
+def test_loading_allocates_little_beyond_the_fingerprint():
+    """A 16-host x 1024-port record: besides what the fingerprint holds,
+    loading allocates at most three times the record's size."""
+    rnd = random.Random(16)
+    hosts = {}
+    for i in range(1, 17):
+        ports = {p: rnd.choice(list(PortState)) for p in range(1, 1025)}
+        banners = {p: b"svc %d\r\n" % p for p, state in ports.items() if state is PortState.OPEN}
+        hosts[A(f"10.0.0.{i}")] = HostRecord(address=A(f"10.0.0.{i}"), alive=Alive.UP,
+                                             rtt_samples=(300, 310, 320),
+                                             ports=ports, banners=banners)
+    data = dumps_fingerprint(NetworkFingerprint(started_at=0, finished_at=1,
+                                                config_digest=1, hosts=hosts))
+    tracemalloc.start()
+    try:
+        fp = loads_fingerprint(data)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fp.hosts == hosts
+    assert peak - held <= 3 * len(data)
+
+
 class TestCorruptionDetection:
     def test_single_byte_flips_are_caught(self, rnd):
         data = dumps_fingerprint(sample_fp(trusted=True))
@@ -114,6 +211,18 @@ class TestCorruptionDetection:
         data = body + f"checksum {zlib.crc32(body):08x}\n".encode()
         with pytest.raises(CorruptRecord):
             loads_fingerprint(data)
+
+
+    @pytest.mark.parametrize("old, new, error", [
+        (b"edgemap-fingerprint v1\n", b"edgemap-fingerprint v2\n",
+         "bad header line 'edgemap-fingerprint v2'"),
+        (b"end\n", b"", "record missing end marker"),
+        (b"end\n", b"bogus\nend\n", "unexpected line 'bogus'"),
+    ])
+    def test_the_error_names_what_is_wrong(self, old, new, error):
+        body = dumps_fingerprint(sample_fp()).rsplit(b"checksum", 1)[0]
+        with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
+            loads_fingerprint(seal(body.replace(old, new)))
 
 
 class TestFingerprintStore:
