@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import statistics
 from enum import Enum
+from itertools import compress, count
+from operator import ne
 
 from .errors import IncomparableFingerprints, UntrustedBaseline
-from .model import (Alive, EventKind, IntrusionEvent, NetworkFingerprint,
-                    PortState, ScanConfig)
+from .model import (OPEN_CODE, PORT_STATES, Alive, EventKind, IntrusionEvent,
+                    NetworkFingerprint, PortState, ScanConfig)
 from .timebase import format_duration
-
-# looked up once: diff compares every port of every host against it
-_OPEN = PortState.OPEN
 
 
 def _describe_banner(banner) -> str:
@@ -19,6 +18,40 @@ def _describe_banner(banner) -> str:
         return "no banner"
     text = banner.decode("ascii", "backslashreplace")
     return repr(text)
+
+
+def _port_events(addr, base, cur, epoch: int) -> list:
+    """PortOpened, PortClosed and BannerChanged events of one host.
+
+    Only ports probed by both scans count.  The ports whose codes differ
+    are found over the overlap of the two tables' spans; a banner can
+    differ only where one side recorded one.
+    """
+    events = []
+    old, new = base.ports, cur.ports
+    old_codes, new_codes = old.codes, new.codes
+    lo = max(old.first, new.first)
+    hi = max(lo, min(old.first + len(old_codes), new.first + len(new_codes)))
+    differing = map(ne, old_codes[lo - old.first:hi - old.first],
+                    new_codes[lo - new.first:hi - new.first])
+    for port in compress(count(lo), differing):
+        was = old_codes[port - old.first]
+        now = new_codes[port - new.first]
+        if was and now and OPEN_CODE in (was, now):
+            events.append(IntrusionEvent(
+                kind=EventKind.PORT_OPENED if now == OPEN_CODE else EventKind.PORT_CLOSED,
+                address=addr, port=port, baseline_value=PORT_STATES[was]._value_,
+                observed_value=PORT_STATES[now]._value_, scan_epoch=epoch))
+    for port in base.banners.keys() | cur.banners.keys():
+        before = base.banners.get(port)
+        after = cur.banners.get(port)
+        if (before != after and old.get(port) is PortState.OPEN
+                and new.get(port) is PortState.OPEN):
+            events.append(IntrusionEvent(
+                kind=EventKind.BANNER_CHANGED, address=addr, port=port,
+                baseline_value=_describe_banner(before),
+                observed_value=_describe_banner(after), scan_epoch=epoch))
+    return events
 
 
 def diff(baseline: NetworkFingerprint, current: NetworkFingerprint,
@@ -56,30 +89,8 @@ def diff(baseline: NetworkFingerprint, current: NetworkFingerprint,
     for addr in set(baseline.hosts) & set(current.hosts):
         base = baseline.hosts[addr]
         cur = current.hosts[addr]
-
-        cur_ports = cur.ports
-        for port, was in base.ports.items():
-            now = cur_ports.get(port)
-            if now is None or (was is not _OPEN and now is not _OPEN):
-                continue  # probed by one scan only, or open in neither
-            if was is not _OPEN:
-                events.append(IntrusionEvent(
-                    kind=EventKind.PORT_OPENED, address=addr, port=port,
-                    baseline_value=was.value, observed_value=now.value,
-                    scan_epoch=epoch))
-            elif now is not _OPEN:
-                events.append(IntrusionEvent(
-                    kind=EventKind.PORT_CLOSED, address=addr, port=port,
-                    baseline_value=was.value, observed_value=now.value,
-                    scan_epoch=epoch))
-            else:
-                old = base.banners.get(port)
-                new = cur.banners.get(port)
-                if old != new:
-                    events.append(IntrusionEvent(
-                        kind=EventKind.BANNER_CHANGED, address=addr, port=port,
-                        baseline_value=_describe_banner(old),
-                        observed_value=_describe_banner(new), scan_epoch=epoch))
+        if base.ports != cur.ports or base.banners != cur.banners:
+            events += _port_events(addr, base, cur, epoch)
 
         if base.alive is Alive.UP and cur.alive is Alive.UP:
             base_median = statistics.median_low(base.rtt_samples)

@@ -2,15 +2,21 @@
 
 Everything here is immutable after construction and free of I/O.  Durations
 and timestamps are integer microseconds on the monotonic scan clock.
+
+A host's port states are a PortTable: one byte per port from the lowest
+probed port to the highest (0 = not probed, else the code of its state in
+PORT_CODES), so a 1,024-port host holds about 1 KB of states.
 """
 
 from __future__ import annotations
 
 import hashlib
 import ipaddress
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from itertools import compress
+from typing import Optional
 
 from .timebase import SECOND, MILLISECOND
 
@@ -62,6 +68,80 @@ class PortState(Enum):
     OPEN = "open"          # handshake reached SYN+ACK
     CLOSED = "closed"      # RST received
     FILTERED = "filtered"  # no reply within the probe timeout
+
+
+# A port state's one-byte code in a PortTable, keyed by the state's value:
+# `_value_` is a plain attribute, while `value` is a property and a dict
+# keyed by the members calls the Python-level Enum.__hash__.
+PORT_CODES = {state._value_: code for code, state in enumerate(PortState, 1)}
+OPEN_CODE = PORT_CODES["open"]
+# the state of each code, by index; code 0 is a port not probed
+PORT_STATES = (None, *PortState)
+
+
+class PortTable(Mapping):
+    """A host's port states: a read-only map from port to PortState.
+
+    Stored as `first`, the lowest probed port, and `codes`, one byte per
+    port from `first` to the highest probed port: 0 for a port not probed,
+    else the state's code in PORT_CODES.  The table is canonical (no
+    leading or trailing 0 byte; an empty one has `first` 0), so two tables
+    are equal exactly when their maps are.  Iteration is in ascending port
+    order.
+    """
+
+    __slots__ = ("first", "codes")
+
+    def __init__(self, first: int, codes):
+        codes = bytes(codes)
+        stripped = codes.lstrip(b"\0")
+        first += len(codes) - len(stripped)
+        codes = stripped.rstrip(b"\0")
+        if not codes:
+            first = 0
+        elif not (1 <= first and first + len(codes) <= 65536):
+            raise ValueError(f"ports {first}..{first + len(codes) - 1} outside 1-65535")
+        if codes.translate(None, bytes(range(len(PORT_STATES)))):
+            raise ValueError("port state code out of range")
+        self.first = first
+        self.codes = codes
+
+    @classmethod
+    def from_mapping(cls, ports: Mapping) -> "PortTable":
+        """The table of any mapping from int port to PortState."""
+        if not ports:
+            return cls(0, b"")
+        first, last = min(ports), max(ports)
+        if not (type(first) is int and type(last) is int and 1 <= first <= last <= 65535):
+            raise ValueError(f"ports {first!r}..{last!r} are not ints in 1-65535")
+        codes = bytearray(last - first + 1)
+        for port, state in ports.items():
+            if type(port) is not int:
+                raise ValueError(f"port {port!r} is not an int")
+            if type(state) is not PortState:
+                raise ValueError(f"port {port}: {state!r} is not a PortState")
+            codes[port - first] = PORT_CODES[state._value_]
+        return cls(first, codes)
+
+    def __getitem__(self, port):
+        offset = port - self.first if type(port) is int else -1
+        if 0 <= offset < len(self.codes) and self.codes[offset]:
+            return PORT_STATES[self.codes[offset]]
+        raise KeyError(port)
+
+    def __iter__(self):
+        return compress(range(self.first, self.first + len(self.codes)), self.codes)
+
+    def __len__(self):
+        return len(self.codes) - self.codes.count(0)
+
+    def __eq__(self, other):
+        if type(other) is PortTable:
+            return self.first == other.first and self.codes == other.codes
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self):
+        return f"PortTable({dict(self.items())!r})"
 
 
 class Alive(Enum):
@@ -136,10 +216,12 @@ class HostRecord:
     address: IPv4
     alive: Alive
     rtt_samples: tuple[int, ...] = ()
-    ports: Mapping[int, PortState] = field(default_factory=dict)
+    ports: Mapping[int, PortState] = field(default_factory=dict)  # a PortTable once built
     banners: Mapping[int, bytes] = field(default_factory=dict)
 
     def __post_init__(self):
+        if type(self.ports) is not PortTable:
+            object.__setattr__(self, "ports", PortTable.from_mapping(self.ports))
         if (len(self.rtt_samples) > 0) != (self.alive is Alive.UP):
             raise ValueError("rtt_samples must be nonempty exactly for Up hosts")
         if self.ports and self.alive is Alive.DOWN:
@@ -169,12 +251,7 @@ class NetworkFingerprint:
                 raise ValueError(f"host map key {addr} != record address {rec.address}")
 
     def open_port_count(self) -> int:
-        return sum(
-            1
-            for rec in self.hosts.values()
-            for state in rec.ports.values()
-            if state is PortState.OPEN
-        )
+        return sum(rec.ports.codes.count(OPEN_CODE) for rec in self.hosts.values())
 
 
 class EventKind(Enum):

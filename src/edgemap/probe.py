@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .model import (Alive, HostRecord, IPv4, NetworkFingerprint, ScanConfig,
-                    config_digest)
+from .model import (PORT_CODES, Alive, HostRecord, IPv4, NetworkFingerprint,
+                    PortTable, ScanConfig, config_digest)
 from .transport import ProbeTransport
 
 StopFn = Optional[Callable[[], bool]]
@@ -63,7 +63,10 @@ def discover_host(target: IPv4, config: ScanConfig,
 
 def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
                     order, stop: StopFn = None):
-    """Probe every port of the configured range once, in the given order."""
+    """Probe every port of the configured range once, in the given order.
+
+    Returns the port states as a PortTable and the banners by port.
+    """
     # everything but the port is fixed for the host, so bind it once
     timeout = config.connect_timeout
     if config.syn_scan:
@@ -74,17 +77,18 @@ def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
                                config.banner_max_bytes)
         send = lambda port: connect(target, port, timeout, grab, most)
     sleep, delay = transport.clock.sleep, config.port_delay
-    ports = {}
+    first = config.port_range[0]
+    codes, code_of = bytearray(config.port_range[1] - first + 1), PORT_CODES
     banners = {}
     for port in order:
         if stop is not None and stop():
             raise SweepAborted
         result = send(port)
-        ports[port] = result.state
+        codes[port - first] = code_of[result.state._value_]
         if result.banner:
             banners[port] = result.banner
         sleep(delay)
-    return ports, banners
+    return PortTable(first, codes), banners
 
 
 def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,

@@ -19,13 +19,18 @@ its `rtt` line if it is Up, then its `port` lines, then its `banner` lines
 (hex of even length, possibly empty).  The loader enforces that order:
 a line out of it, or one that fits the layout nowhere, is
 CorruptRecord, and the error names that line or the host record it
-left invalid.  Numbers are unsigned decimal.
+left invalid.  Numbers are unsigned decimal; a port is 1-65535.
 
-Hosts appear in ascending numeric address order, ports ascending, so two
-records of the same network are byte-identical and file diffs stay
-readable.  The checksum is CRC-32 over every byte up to and including
-the 'end' line; any corruption loads as CorruptRecord, never as a
-silently truncated fingerprint.
+Hosts appear in strictly ascending numeric address order, and each
+host's ports and banners strictly ascending, so two records of the same
+network are byte-identical and file diffs stay readable.  The loader
+enforces this: a host named twice or out of order, or a port or a
+banner repeated or out of order, is CorruptRecord naming the host, never
+a line that silently replaces another.  The writer formats the port
+lines straight from each host's PortTable, and the loader builds the
+table's codes straight from them.  The checksum is CRC-32 over every
+byte up to and including the 'end' line; any corruption loads as
+CorruptRecord, never as a silently truncated fingerprint.
 """
 
 from __future__ import annotations
@@ -34,55 +39,55 @@ import ipaddress
 import os
 import re
 import zlib
+from itertools import count
+from operator import lt
 from pathlib import Path
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
-from .model import Alive, HostRecord, NetworkFingerprint, PortState
+from .model import PORT_CODES, Alive, HostRecord, NetworkFingerprint, PortTable
 
 HEADER = "edgemap-fingerprint v1"
 
 _ALIVE_WIRE = {Alive.UP: "up", Alive.SILENT_UP: "silent"}
 # the loader reads the record as bytes
 _ALIVE_BY_WIRE = {v.encode(): k for k, v in _ALIVE_WIRE.items()}
-_STATE_BY_WIRE = {s.value.encode(): s for s in PortState}
+# a port state's name by its PortTable code, and the code by the name
+_STATE_WIRE = (None, *PORT_CODES)
+_CODE_BY_WIRE = {name.encode(): code for name, code in PORT_CODES.items()}
 
 
 def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
-    lines = [
-        HEADER,
-        f"digest {fp.config_digest:016x}",
-        f"trusted {1 if fp.trusted else 0}",
-        f"started {fp.started_at}",
-        f"finished {fp.finished_at}",
-    ]
+    """The record of a fingerprint, formatted one host block at a time."""
+    out = bytearray(f"{HEADER}\ndigest {fp.config_digest:016x}\ntrusted {int(fp.trusted)}\n"
+                    f"started {fp.started_at}\nfinished {fp.finished_at}\n".encode("ascii"))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        lines.append(f"host {addr} {_ALIVE_WIRE[rec.alive]}")
+        lines = [f"host {addr} {_ALIVE_WIRE[rec.alive]}"]
         if rec.rtt_samples:
-            lines.append("rtt " + " ".join(str(s) for s in rec.rtt_samples))
-        # `_value_` is the member's value as a plain attribute: `value` is a
-        # property and a dict keyed by member calls Enum.__hash__, and
-        # either costs more than the rest of the line
+            lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
         ports = rec.ports
-        lines += [f"port {port} {ports[port]._value_}" for port in sorted(ports)]
+        lines += [f"port {port} {_STATE_WIRE[code]}"
+                  for port, code in zip(count(ports.first), ports.codes) if code]
         for port in sorted(rec.banners):
             lines.append(f"banner {port} {rec.banners[port].hex()}")
-    lines.append("end")
-    body = ("\n".join(lines) + "\n").encode("ascii")
-    checksum = zlib.crc32(body) & 0xFFFFFFFF
-    return body + f"checksum {checksum:08x}\n".encode("ascii")
+        lines.append("")
+        out += "\n".join(lines).encode("ascii")
+    out += b"end\n"
+    out += b"checksum %08x\n" % zlib.crc32(out)
+    return bytes(out)
 
 
 # The layout of the module docstring, matched on the record's bytes one
 # host at a time.  A repeated group keeps a backtracking entry of a few
 # hundred bytes per repetition until its match returns, so port lines are
-# matched, and their ports built, at most 1,024 at a time (one match for
+# matched, and their codes built, at most 1,024 at a time (one match for
 # the default port range), and banner lines (hex of any length) one at a
-# time.
+# time.  A port number has at most five digits, so a table is at most
+# 100,000 bytes before PortTable refuses the ports above 65535.
 _PREAMBLE = re.compile(HEADER.encode() + rb"\ndigest ([0-9a-f]{16})\ntrusted ([01])\n"
                        rb"started ([0-9]+)\nfinished ([0-9]+)\n")
 _HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:[0-9]+ )*[0-9]+)\n)?")
-_PORTS = re.compile(rb"(?:port [0-9]+ (?:open|closed|filtered)\n){1,1024}")
+_PORTS = re.compile(rb"(?:port [0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
 _BANNER = re.compile(rb"banner ([0-9]+) ([0-9a-f]*)\n")
 
 
@@ -109,25 +114,48 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
         raise CorruptRecord("bad record preamble")
     hosts = {}
     pos = head.end()
+    last = -1  # the previous host's address as an int
     while host := _HOST.match(data, pos):
         try:
             addr = ipaddress.IPv4Address(host[1].decode())
         except ValueError as exc:
             raise CorruptRecord(f"bad host address {host[1].decode()!r}") from exc
+        if int(addr) <= last:
+            raise CorruptRecord(f"host {addr} named twice" if int(addr) == last
+                                else f"host {addr} out of ascending address order")
+        last = int(addr)
         pos = host.end()
-        ports = {}
+        first, codes = 0, bytearray()
         while run := _PORTS.match(data, pos):
             words = run[0].split()
-            ports.update(zip(map(int, words[1::3]), map(_STATE_BY_WIRE.__getitem__, words[2::3])))
+            ports = list(map(int, words[1::3]))
+            run_codes = bytes(map(_CODE_BY_WIRE.__getitem__, words[2::3]))
+            lo, hi = ports[0], ports[-1]
+            if not codes:
+                first = lo
+            if lo < first + len(codes) or not all(map(lt, ports, ports[1:])):
+                raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
+            codes += bytes(hi - first + 1 - len(codes))
+            if hi - lo + 1 == len(ports):  # strictly ascending, so consecutive
+                codes[lo - first:] = run_codes
+            else:
+                for port, code in zip(ports, run_codes):
+                    codes[port - first] = code
             pos = run.end()
         banners = {}
+        previous = -1  # the previous banner's port
         while (banner := _BANNER.match(data, pos)) and len(banner[2]) % 2 == 0:
-            banners[int(banner[1])] = bytes.fromhex(banner[2].decode())
+            port = int(banner[1])
+            if port <= previous:
+                raise CorruptRecord(f"banners of host {addr} repeated or out of ascending order")
+            banners[port] = bytes.fromhex(banner[2].decode())
+            previous = port
             pos = banner.end()
         rtt = tuple(map(int, host[3].split())) if host[3] else ()
         try:
             hosts[addr] = HostRecord(address=addr, alive=_ALIVE_BY_WIRE[host[2]],
-                                     rtt_samples=rtt, ports=ports, banners=banners)
+                                     rtt_samples=rtt, ports=PortTable(first, codes),
+                                     banners=banners)
         except ValueError as exc:
             raise CorruptRecord(f"invalid host record for {addr}: {exc}") from exc
     if pos == cut:
@@ -164,17 +192,14 @@ class FingerprintStore:
     def _epoch_name(digest: int, epoch: int) -> str:
         return f"{digest:016x}.epoch{epoch:06d}.fp"
 
-    def _epoch_path(self, digest: int, epoch: int) -> Path:
-        return self.directory / self._epoch_name(digest, epoch)
-
-    def _write(self, path: Path, fp: NetworkFingerprint, durable: bool = False) -> None:
+    def _write(self, path, fp: NetworkFingerprint, durable: bool = False) -> None:
         """Write through a temp file and a rename.
 
         A durable write also fsyncs the temp file before the rename and the
         directory after it, so a power cut leaves the old record or the new
         one, never an empty file.
         """
-        tmp = path.with_suffix(".tmp")
+        tmp = os.path.splitext(path)[0] + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(dumps_fingerprint(fp))
             if durable:
@@ -198,7 +223,8 @@ class FingerprintStore:
         self._write(path, fp, durable=True)
 
     def save_epoch(self, fp: NetworkFingerprint, epoch: int) -> None:
-        self._write(self._epoch_path(fp.config_digest, epoch), fp)
+        # plain string paths, as in delete_epoch
+        self._write(os.path.join(self.directory, self._epoch_name(fp.config_digest, epoch)), fp)
 
     def load_trusted(self, digest: int) -> NetworkFingerprint:
         path = self._trusted_path(digest)

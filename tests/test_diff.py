@@ -7,7 +7,7 @@ import pytest
 from edgemap.diffing import ScenarioTag, classify_scenario, diff
 from edgemap.errors import IncomparableFingerprints, UntrustedBaseline
 from edgemap.model import Alive, EventKind, HostRecord, NetworkFingerprint, PortState
-from conftest import random_fingerprint, small_config
+from conftest import random_fingerprint, random_host_record, small_config
 from oracles import brute_force_diff, event_tuples
 
 A = ipaddress.IPv4Address
@@ -169,6 +169,39 @@ class TestOracleEquivalence:
         for _ in range(300):
             base = random_fingerprint(rnd, trusted=True)
             cur = random_fingerprint(rnd)
+            expected = brute_force_diff(base, cur, CFG.rtt_anomaly_factor,
+                                        CFG.rtt_anomaly_floor)
+            assert event_tuples(diff(base, cur, CFG)) == expected
+
+    def test_pairs_with_different_port_spans_match_brute_force(self, rnd):
+        # port tables of different, overlapping or disjoint spans, with holes
+        spans = [(1, 16), (5, 30), (1, 3), (14, 14), (60000, 60012), (65530, 65535)]
+
+        def spanned(addr):
+            rec = random_host_record(rnd, addr, *rnd.choice(spans))
+            ports = {p: s for p, s in rec.ports.items() if p in rec.banners or rnd.random() < 0.8}
+            return dataclasses.replace(rec, ports=ports)
+
+        def edited(rec):
+            """The host rescanned: some ports restated, the span clipped
+            below and grown above."""
+            cut = rnd.choice([0, *rec.ports])
+            ports = {p: s for p, s in rec.ports.items() if p >= cut}
+            for p in rnd.sample(sorted(ports), min(3, len(ports))):
+                ports[p] = rnd.choice(list(PortState))
+            top = max(ports, default=rnd.randrange(1, 65000))
+            ports.update((p, rnd.choice(list(PortState)))
+                         for p in range(top + 1, min(top + rnd.randrange(8), 65535) + 1))
+            banners = {p: b for p, b in rec.banners.items() if ports.get(p) is PortState.OPEN}
+            return dataclasses.replace(rec, ports=ports, banners=banners)
+
+        for _ in range(500):
+            addrs = [A(f"10.0.2.{i}") for i in rnd.sample(range(1, 12), 4)]
+            base_hosts = {a: spanned(a) for a in addrs[:3]}
+            cur_hosts = {a: edited(base_hosts[a]) if a in base_hosts and rnd.random() < 0.5
+                         else spanned(a) for a in addrs[1:]}
+            base = fp(base_hosts.values(), trusted=True)
+            cur = fp(cur_hosts.values())
             expected = brute_force_diff(base, cur, CFG.rtt_anomaly_factor,
                                         CFG.rtt_anomaly_floor)
             assert event_tuples(diff(base, cur, CFG)) == expected

@@ -3,11 +3,11 @@ import hashlib
 import ipaddress
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgemap.model import (AddressRange, Alive, EventKind, HostRecord,
                            IntrusionEvent, NetworkFingerprint, PortState,
-                           ScanConfig, config_digest)
+                           PortTable, ScanConfig, config_digest)
 from conftest import small_config
 
 A = ipaddress.IPv4Address
@@ -142,6 +142,81 @@ class TestHostRecord:
                          ports={22: PortState.OPEN, 23: PortState.FILTERED},
                          banners={22: b"SSH-2.0\r\n"})
         assert rec.ports[22] is PortState.OPEN
+
+
+# sparse port maps, the edge ports 1 and 65535 drawn often
+port_maps = st.dictionaries(st.one_of(st.integers(1, 65535), st.sampled_from([1, 2, 65534, 65535])),
+                            st.sampled_from(list(PortState)), max_size=30)
+
+
+class TestPortTable:
+    @settings(derandomize=True, max_examples=300)
+    @given(port_maps)
+    @example({1: PortState.OPEN, 65535: PortState.FILTERED})
+    @example({})
+    def test_behaves_like_the_dict_it_was_built_from(self, ports):
+        table = PortTable.from_mapping(ports)
+        assert len(table) == len(ports)
+        assert list(table) == sorted(ports)
+        assert list(table.items()) == sorted(ports.items())
+        assert list(table.values()) == [ports[p] for p in sorted(ports)]
+        assert table == ports and ports == table
+        assert not table != ports
+        for port in [*ports, 0, 1, 2, 1000, 65534, 65535, 65536, -1, "22", None]:
+            assert (port in table) == (port in ports)
+            assert table.get(port) is ports.get(port)
+            if port in ports:
+                assert table[port] is ports[port]
+            else:
+                with pytest.raises(KeyError):
+                    table[port]
+
+    @settings(derandomize=True, max_examples=300)
+    @given(port_maps, st.data())
+    def test_two_tables_are_equal_exactly_when_their_dicts_are(self, ports, data):
+        other = dict(ports)
+        edit = data.draw(st.sampled_from(["none", "drop", "add", "restate"]))
+        port = data.draw(st.sampled_from(sorted(ports)) if ports and edit != "add"
+                         else st.integers(1, 65535))
+        state = data.draw(st.sampled_from(list(PortState)))
+        if edit == "drop":
+            other.pop(port, None)
+        elif edit != "none":
+            other[port] = state
+        assert (PortTable.from_mapping(ports) == PortTable.from_mapping(other)) == (ports == other)
+
+    def test_the_table_is_canonical(self):
+        table = PortTable.from_mapping({22: PortState.OPEN, 24: PortState.CLOSED})
+        assert (table.first, table.codes) == (22, b"\x01\x00\x02")
+        padded = PortTable(19, b"\x00\x00\x00\x01\x00\x02\x00\x00")
+        assert (padded.first, padded.codes) == (22, b"\x01\x00\x02")
+        assert padded == table
+        assert (PortTable(7, b"\x00\x00").first, PortTable(7, b"").codes) == (0, b"")
+        assert PortTable(7, b"") == PortTable.from_mapping({}) == {}
+
+    @pytest.mark.parametrize("ports", [
+        {22: "open"},
+        {22: PortState.OPEN, 23: None},
+        {0: PortState.OPEN},
+        {65536: PortState.CLOSED},
+        {22.0: PortState.OPEN},
+    ])
+    def test_a_bad_port_or_state_raises_value_error(self, ports):
+        with pytest.raises(ValueError):
+            PortTable.from_mapping(ports)
+        with pytest.raises(ValueError):
+            HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP, ports=ports)
+
+    @pytest.mark.parametrize("first, codes", [(1, b"\x04"), (0, b"\x01"), (65535, b"\x01\x01")])
+    def test_a_bad_code_or_span_raises_value_error(self, first, codes):
+        with pytest.raises(ValueError):
+            PortTable(first, codes)
+
+    def test_a_host_record_holds_a_table(self):
+        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP,
+                         ports={23: PortState.CLOSED, 22: PortState.OPEN})
+        assert type(rec.ports) is PortTable
+        assert dataclasses.replace(rec).ports is rec.ports
 
 
 class TestFingerprint:

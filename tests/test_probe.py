@@ -87,10 +87,20 @@ class TestScanHostPorts:
         assert banners == {5: b"hello"}
 
     def test_order_is_respected(self):
+        # the SYNs go out in the given order; the table lists ports ascending
         net = net_with(spec(1))
+        asked = []
+        real_connect = net.tcp_connect
+
+        def connect(target, port, *rest):
+            asked.append(port)
+            return real_connect(target, port, *rest)
+
+        net.tcp_connect = connect
         order = [3, 1, 2]
         ports, _ = probe.scan_host_ports(A("10.0.0.1"), small_config(), net, order)
-        assert list(ports) == order
+        assert asked == order
+        assert list(ports) == [1, 2, 3]
 
     def test_port_rate_ceiling(self):
         net = net_with(spec(1, base_rtt=500, open_ports={2: None, 4: None}))

@@ -1,5 +1,6 @@
 import ipaddress
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -70,7 +71,7 @@ class RecordingStore(FingerprintStore):
 
     def _write(self, path, fp, **kwargs):
         super()._write(path, fp, **kwargs)
-        self.written.append(path.name)
+        self.written.append(os.path.basename(path))
 
 
 def intrusions(lines):

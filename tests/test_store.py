@@ -172,6 +172,35 @@ def test_loading_allocates_little_beyond_the_fingerprint():
     assert peak - held <= 3 * len(data)
 
 
+def test_a_loaded_record_holds_its_port_states_in_a_byte_a_port():
+    """A 64-host x 1,024-port record: the loaded fingerprint holds at most
+    256 KB, and writing it back allocates at most 2.5 times its size."""
+    rnd = random.Random(64)
+    hosts = {}
+    for i in range(1, 65):
+        states = rnd.choices(list(PortState), weights=[1, 30, 70], k=1024)
+        ports = dict(zip(range(1, 1025), states))
+        banners = {p: b"svc %d\r\n" % p for p, state in ports.items()
+                   if state is PortState.OPEN and rnd.random() < 0.5}
+        hosts[A(f"10.0.0.{i}")] = HostRecord(address=A(f"10.0.0.{i}"), alive=Alive.UP,
+                                             rtt_samples=(300, 310, 320),
+                                             ports=ports, banners=banners)
+    data = dumps_fingerprint(NetworkFingerprint(started_at=0, finished_at=1,
+                                                config_digest=1, hosts=hosts))
+    tracemalloc.start()
+    try:
+        fp = loads_fingerprint(data)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        written = dumps_fingerprint(fp)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert written == data
+    assert held <= 256 * 1024
+    assert peak <= 2.5 * len(data)
+
+
 class TestCorruptionDetection:
     def test_single_byte_flips_are_caught(self, rnd):
         data = dumps_fingerprint(sample_fp(trusted=True))
@@ -212,6 +241,37 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptRecord):
             loads_fingerprint(data)
 
+
+    @pytest.mark.parametrize("blocks, error", [
+        # one host in two blocks, its ports out of order in the first
+        ([b"host 10.0.0.2 up", b"rtt 400", b"port 23 open", b"port 22 closed",
+          b"host 10.0.0.2 silent"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"host 10.0.0.2 silent", b"port 22 open", b"host 10.0.0.2 silent"],
+         "host 10.0.0.2 named twice"),
+        ([b"host 10.0.0.2 silent", b"host 10.0.0.1 silent"],
+         "host 10.0.0.1 out of ascending address order"),
+        ([b"host 10.0.0.2 silent", b"port 22 open", b"port 22 open"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        # the second run of port lines starts below the end of the first
+        ([b"host 10.0.0.2 silent"] + [b"port %d closed" % p for p in range(1, 1025)]
+         + [b"port 1000 open"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"host 10.0.0.2 silent", b"port 22 open", b"banner 22 aa", b"banner 22 bb"],
+         "banners of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"host 10.0.0.2 silent", b"port 22 open", b"port 23 open", b"banner 23 aa",
+          b"banner 22 bb"],
+         "banners of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"host 10.0.0.2 silent", b"port 0 open"],
+         "invalid host record for 10.0.0.2: ports 0..0 outside 1-65535"),
+        ([b"host 10.0.0.2 silent", b"port 22 open", b"port 65536 open"],
+         "invalid host record for 10.0.0.2: ports 22..65536 outside 1-65535"),
+    ])
+    def test_hosts_and_ports_must_ascend(self, blocks, error):
+        preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
+        with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
+            loads_fingerprint(seal(preamble + b"".join(line + b"\n" for line in blocks)
+                                   + b"end\n"))
 
     @pytest.mark.parametrize("old, new, error", [
         (b"edgemap-fingerprint v1\n", b"edgemap-fingerprint v2\n",
