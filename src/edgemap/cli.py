@@ -34,7 +34,7 @@ from .scheduler import make_schedule, run_monitor
 from .sink import EventSink, FileOutput, StdoutOutput, UdpOutput, format_intrusion
 from .store import FingerprintStore, dumps_fingerprint, loads_fingerprint
 from .timebase import SECOND, format_duration, parse_duration
-from .transport import DISCOVERY_CLASSES, FIXED_SIZE, PACKET_CLASSES, TCP_CLASSES
+from .transport import DISCOVERY_CLASSES, PACKET_CLASSES, TCP_CLASSES, TCP_CONTROL_BYTES
 
 EXIT_OK = 0
 EXIT_EVENTS = 1
@@ -154,6 +154,8 @@ def build_sink(args, stream=None) -> EventSink:
             outputs.append(FileOutput(spec[5:]))
         elif spec.startswith("udp:"):
             host, _, port = spec[4:].rpartition(":")
+            if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+                raise ValueError(f"sink {spec!r} is not udp:<host>:<port 1-65535>")
             outputs.append(UdpOutput(host, int(port)))
         else:
             raise ValueError(f"unknown sink {spec!r}")
@@ -261,20 +263,11 @@ def _print_rates(counters, out) -> None:
         print(f"{sec} {' '.join(map(str, row))} {counters.second_bytes(sec)}", file=out)
 
 
-def _peak(counters, classes, sizes=None) -> int:
-    """Busiest second of the classes' summed per-second counts, each count
-    times its class's size if sizes are given."""
-    columns = counters.per_second
-    weights = [sizes[cls] if sizes else 1 for cls in classes]
-    rows = zip(*(columns[cls] for cls in classes))
-    return max((sum(n * w for n, w in zip(row, weights)) for row in rows), default=0)
-
-
 def _print_peaks(counters, out) -> None:
-    disc = _peak(counters, DISCOVERY_CLASSES)
-    tcp = _peak(counters, TCP_CLASSES)
-    tcp_bytes = _peak(counters, TCP_CLASSES, FIXED_SIZE)
-    print(f"peak discovery_pps={disc} tcp_pps={tcp} tcp_bytes_per_s={tcp_bytes} "
+    tcp = counters.peak(TCP_CLASSES)
+    # every TCP class is a control segment of TCP_CONTROL_BYTES
+    print(f"peak discovery_pps={counters.peak(DISCOVERY_CLASSES)} tcp_pps={tcp} "
+          f"tcp_bytes_per_s={tcp * TCP_CONTROL_BYTES} "
           f"total_packets={counters.total_packets()} total_bytes={counters.total_bytes()}",
           file=out)
 

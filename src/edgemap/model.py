@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import ipaddress
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -181,8 +182,8 @@ class ScanConfig:
                      "connect_timeout", "ping_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.rtt_anomaly_factor < 1.0:
-            raise ValueError("rtt_anomaly_factor must be >= 1.0")
+        if not 1.0 <= self.rtt_anomaly_factor < math.inf:  # nan fails both
+            raise ValueError("rtt_anomaly_factor must be finite and >= 1.0")
         if self.rtt_anomaly_floor <= 0:
             raise ValueError("rtt_anomaly_floor must be strictly positive")
         if self.banner_max_bytes <= 0:

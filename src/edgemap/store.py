@@ -19,7 +19,8 @@ its `rtt` line if it is Up, then its `port` lines, then its `banner` lines
 (hex of even length, possibly empty).  The loader enforces that order:
 a line out of it, or one that fits the layout nowhere, is
 CorruptRecord, and the error names that line or the host record it
-left invalid.  Numbers are unsigned decimal; a port is 1-65535.
+left invalid.  Numbers are unsigned decimal with no leading zero, and
+the checksum is exactly 8 lowercase hex digits; a port is 1-65535.
 
 Hosts appear in strictly ascending numeric address order, and each
 host's ports and banners strictly ascending, so two records of the same
@@ -84,11 +85,13 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
 # the default port range), and banner lines (hex of any length) one at a
 # time.  A port number has at most five digits, so a table is at most
 # 100,000 bytes before PortTable refuses the ports above 65535.
+_NUMBER = rb"(?:0|[1-9][0-9]*)"
 _PREAMBLE = re.compile(HEADER.encode() + rb"\ndigest ([0-9a-f]{16})\ntrusted ([01])\n"
-                       rb"started ([0-9]+)\nfinished ([0-9]+)\n")
-_HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:[0-9]+ )*[0-9]+)\n)?")
-_PORTS = re.compile(rb"(?:port [0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
-_BANNER = re.compile(rb"banner ([0-9]+) ([0-9a-f]*)\n")
+                       rb"started (%s)\nfinished (%s)\n" % (_NUMBER, _NUMBER))
+_HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:%s )*%s)\n)?" % (_NUMBER, _NUMBER))
+_PORTS = re.compile(rb"(?:port (?!0[0-9])[0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
+_BANNER = re.compile(rb"banner (%s) ([0-9a-f]*)\n" % _NUMBER)
+_TRAILER = re.compile(rb"checksum ([0-9a-f]{8})\n")
 
 
 def loads_fingerprint(data: bytes) -> NetworkFingerprint:
@@ -99,10 +102,10 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
     cut = data.rfind(b"\n", 0, -1) + 1  # start of the checksum line
     if not data.startswith(b"checksum ", cut):
         raise CorruptRecord("record missing checksum trailer")
-    try:
-        stated = int(data[cut + len(b"checksum "):], 16)
-    except ValueError as exc:
-        raise CorruptRecord("unreadable checksum line") from exc
+    trailer = _TRAILER.fullmatch(data, cut)
+    if trailer is None:
+        raise CorruptRecord("unreadable checksum line")
+    stated = int(trailer[1], 16)
     actual = zlib.crc32(memoryview(data)[:cut])
     if stated != actual:
         raise CorruptRecord(f"checksum mismatch: stated {stated:08x}, actual {actual:08x}")

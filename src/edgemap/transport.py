@@ -63,40 +63,29 @@ _ZERO_ROW = {typecode: bytes(array(typecode).itemsize * _ROW) for typecode in "H
 
 
 class PacketCounters:
-    """Per-class cumulative and per-second packet/byte accounting.
+    """Per-class packet and byte accounting, kept as per-second rows.
 
     Seconds are integer buckets of the scan clock (timestamp // 1s).  The
-    history is kept in two arrays: the sorted busy seconds, and one row
-    of cells per busy second holding each class's packet count and the
-    second's `banner_data` bytes, the one class whose size varies; every
-    other class's bytes are its count times its `FIXED_SIZE`.  Cells
-    start at 2 bytes and all widen to 8 the first time a second overflows
-    one.  `per_second` and `per_second_bytes` are copies of the columns,
-    aligned with `seconds()`.
+    rows are the one record of the traffic: two arrays, the ascending
+    busy seconds and one row of cells per busy second holding each
+    class's packet count and the second's `banner_data` bytes, the one
+    class whose size varies; every other class's bytes are its count
+    times its `FIXED_SIZE`.  Cells start at 2 bytes and all widen to 8
+    the first time a second overflows one.  Totals and peaks are read
+    from the rows, summing one column at a time; `per_second` and
+    `per_second_bytes` are copies of the columns, aligned with
+    `seconds()`.
 
-    `record` touches the newest row, appending one when the second rolls
-    over.  A record for an earlier second lands in that second's row,
-    inserted in order if the second saw no traffic yet.
+    `record` adds to the newest row, appending one when the second rolls
+    over.  Packets are recorded in time order: one in a second before the
+    newest raises ValueError and changes nothing.
     """
 
     def __init__(self):
-        self.counts = {cls: 0 for cls in PACKET_CLASSES}
-        self._banner_bytes = 0
         self._secs = array("q")
         self._cells = array("H")
         self._newest = None   # the last row's second
         self._last = 0        # index of the last row's first cell
-
-    def _earlier_row(self, sec: int) -> int:
-        """Index of the first cell of the row of `sec`, a second before the
-        newest, inserted (zeroed) in order if that second was quiet."""
-        secs, cells = self._secs, self._cells
-        row = bisect_left(secs, sec)
-        if secs[row] != sec:
-            secs.insert(row, sec)
-            cells[row * _ROW:row * _ROW] = array(cells.typecode, _ZERO_ROW[cells.typecode])
-            self._last += _ROW
-        return row * _ROW
 
     def _add(self, cell: int, n: int) -> None:
         try:
@@ -107,28 +96,30 @@ class PacketCounters:
 
     def record(self, cls: str, when: int, payload_len: int = 0) -> None:
         sec = when // SECOND
-        if sec == self._newest:
-            row = self._last
-        elif self._newest is not None and sec < self._newest:
-            row = self._earlier_row(sec)
-        else:  # the second rolled over: a new last row
+        if sec != self._newest:  # the second rolled over: a new last row
+            if self._newest is not None and sec < self._newest:
+                raise ValueError(f"packet in second {sec} recorded after second {self._newest}")
             cells = self._cells
             self._secs.append(sec)
             cells.frombytes(_ZERO_ROW[cells.typecode])
             self._newest, self._last = sec, len(cells) - _ROW
-            row = self._last
-        self.counts[cls] += 1
+        row = self._last
         self._add(row + _CELL[cls], 1)
         if cls == "banner_data":
-            size = payload_len + BANNER_FRAMING_BYTES
-            self._banner_bytes += size
-            self._add(row + _BANNER_BYTES_CELL, size)
+            self._add(row + _BANNER_BYTES_CELL, payload_len + BANNER_FRAMING_BYTES)
+
+    @property
+    def counts(self) -> dict:
+        """Packets sent per class: the sums of the count columns."""
+        cells = self._cells
+        return {cls: sum(cells[i::_ROW]) for cls, i in _CELL.items()}
 
     @property
     def bytes(self) -> dict:
-        """Bytes sent per class, worked out from the counts."""
-        return {cls: self._banner_bytes if cls == "banner_data" else n * FIXED_SIZE[cls]
-                for cls, n in self.counts.items()}
+        """Bytes sent per class, worked out from the columns."""
+        cells = self._cells
+        return {cls: sum(cells[_BANNER_BYTES_CELL::_ROW]) if cls == "banner_data"
+                else n * FIXED_SIZE[cls] for cls, n in self.counts.items()}
 
     @property
     def per_second(self) -> dict:
@@ -170,10 +161,13 @@ class PacketCounters:
         return sum(cells[row + _BANNER_BYTES_CELL] if cls == "banner_data"
                    else cells[row + _CELL[cls]] * FIXED_SIZE[cls] for cls in classes)
 
+    def peak(self, classes) -> int:
+        """The busiest second's packet count summed over `classes`."""
+        columns = [self._cells[_CELL[cls]::_ROW] for cls in classes]
+        return max(map(sum, zip(*columns)), default=0)
+
     def snapshot(self) -> "PacketCounters":
         out = PacketCounters()
-        out.counts = dict(self.counts)
-        out._banner_bytes = self._banner_bytes
         out._secs = self._secs[:]
         out._cells = self._cells[:]
         out._newest, out._last = self._newest, self._last

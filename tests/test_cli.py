@@ -320,6 +320,15 @@ EXIT_CODE_ROWS = [
      lambda ws: ["scan", "--ports", "1-"] + common(ws), 2),
     ("simulate", "backend given", None,
      lambda ws: _simulate(ws, "net.scn", "--backend", f"sim:{ws / 'change.scn'}"), 2),
+    # a factor no ratio reaches: LatencyAnomaly would be off without a word
+    *(("simulate", f"{factor} rtt anomaly factor",
+       _write("edge.conf", CONF + f"rtt_anomaly_factor = {factor}\n"),
+       lambda ws: _simulate(ws, "change.scn"), 2) for factor in ("nan", "inf")),
+    # every line would fail into sink.reports
+    *(("simulate", f"udp sink {spec}", None,
+       lambda ws, spec=spec: _simulate(ws, "change.scn", "--sink", spec), 2)
+      for spec in ("udp:127.0.0.1:70000", "udp:127.0.0.1:0", "udp:127.0.0.1:-5",
+                   "udp::514", "udp:514")),
 ]
 
 # the failures that come after the command has printed its report
@@ -351,6 +360,12 @@ class TestSinkWiring:
             assert code == 0
             data, _ = recv.recvfrom(2048)
         assert b"baseline recorded" in data or b"kind=" in data
+
+    def test_env_logger_with_a_bad_port_is_refused(self, ws, capsys, monkeypatch):
+        monkeypatch.setenv(cli.LOGGER_ENV, "127.0.0.1:70000")
+        assert run(_simulate(ws, "change.scn")) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: sink 'udp:127.0.0.1:70000' is not udp:<host>:<port 1-65535>\n")
 
     def test_file_sink(self, ws):
         log = ws / "events.log"

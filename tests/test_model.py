@@ -73,6 +73,9 @@ class TestScanConfig:
         dict(rtt_anomaly_factor=0.5),
         dict(rtt_anomaly_floor=0),
         dict(banner_max_bytes=0),
+        # neither would ever raise a LatencyAnomaly
+        dict(rtt_anomaly_factor=float("nan")),
+        dict(rtt_anomaly_factor=float("inf")),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):

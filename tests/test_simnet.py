@@ -2,12 +2,14 @@ import ipaddress
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_config
 from edgemap.model import PortState
 from edgemap.probe import scan_host_ports
 from edgemap.simnet import SimHostSpec, SimNetwork
-from edgemap.transport import PacketCounters
+from edgemap.transport import (DISCOVERY_CLASSES, FIXED_SIZE, PACKET_CLASSES, TCP_CLASSES,
+                               TCP_CONTROL_BYTES, PacketCounters)
 
 A = ipaddress.IPv4Address
 SEC = 1_000_000
@@ -120,13 +122,13 @@ class TestByteAccounting:
 
 
 class TestPacketCounters:
-    def test_earlier_second_lands_in_its_own_row(self):
+    def test_each_busy_second_has_its_own_row_and_an_earlier_one_raises(self):
         c = PacketCounters()
+        c.record("icmp_request", 2 * SEC)
         c.record("tcp_syn", 5 * SEC)
-        c.record("tcp_syn", 9 * SEC)
         c.record("tcp_rst", 5 * SEC + 1)        # a second already in the history
-        c.record("banner_data", 7 * SEC, 10)    # a quiet second between two busy ones
-        c.record("icmp_request", 2 * SEC)       # before every busy second
+        c.record("banner_data", 7 * SEC, 10)    # two quiet seconds on each side
+        c.record("tcp_syn", 9 * SEC)
         c.record("tcp_syn", 9 * SEC + 3)        # the newest second again
         assert list(c.seconds()) == [2, 5, 7, 9]
         assert [c.second_count(sec) for sec in (2, 5, 7, 9)] == [1, 2, 1, 2]
@@ -136,6 +138,12 @@ class TestPacketCounters:
         assert c.second_bytes(2) == 74
         assert c.second_count(3) == 0 and c.second_bytes(3) == 0
         assert c.second_count(10) == 0
+        before = (c.counts, c.bytes, list(c.seconds()), c.per_second, c.per_second_bytes)
+        with pytest.raises(ValueError, match="second 8 recorded after second 9"):
+            c.record("banner_data", 8 * SEC, 10)
+        assert (c.counts, c.bytes, list(c.seconds()), c.per_second, c.per_second_bytes) == before
+        c.record("tcp_ack", 9 * SEC + 4)        # the counters still take the newest second
+        assert c.second_count(9) == 3
 
     def test_a_very_busy_second_counts_exactly(self):
         c = PacketCounters()
@@ -148,6 +156,49 @@ class TestPacketCounters:
         assert c.second_bytes(3, ("banner_data",)) == 70_000 * 166
         assert c.second_count(4) == 1 and c.second_bytes(4) == 60
 
+    # (class, gap after the previous packet, banner payload length); a
+    # payload above 32,767 bytes overflows a 2-byte cell in two packets
+    streams = st.lists(st.tuples(st.sampled_from(PACKET_CLASSES),
+                                 st.integers(0, 3 * SEC), st.integers(0, 40_000)),
+                       max_size=60)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(streams)
+    def test_rows_agree_with_a_plain_dict_oracle(self, stream):
+        c = PacketCounters()
+        counts = dict.fromkeys(PACKET_CLASSES, 0)
+        sizes = dict.fromkeys(PACKET_CLASSES, 0)
+        by_second = {}  # second -> {class: [packets, bytes]}
+        when = 0
+        for cls, gap, payload in stream:
+            when += gap
+            c.record(cls, when, payload)
+            size = payload + 66 if cls == "banner_data" else FIXED_SIZE[cls]
+            counts[cls] += 1
+            sizes[cls] += size
+            cell = by_second.setdefault(when // SEC, {}).setdefault(cls, [0, 0])
+            cell[0] += 1
+            cell[1] += size
+        assert c.counts == counts and c.bytes == sizes
+        assert c.total_packets() == sum(counts.values())
+        assert c.total_bytes() == sum(sizes.values())
+        assert list(c.seconds()) == sorted(by_second)
+        for sec in range(-1, when // SEC + 2):
+            cells = by_second.get(sec, {})
+            for cls in PACKET_CLASSES:
+                packets, nbytes = cells.get(cls, (0, 0))
+                assert c.second_count(sec, (cls,)) == packets
+                assert c.second_bytes(sec, (cls,)) == nbytes
+            assert c.second_count(sec) == sum(n for n, _ in cells.values())
+            assert c.second_bytes(sec) == sum(b for _, b in cells.values())
+        for classes in (DISCOVERY_CLASSES, TCP_CLASSES, PACKET_CLASSES, ("banner_data",)):
+            assert c.peak(classes) == max(
+                (sum(cells.get(cls, (0, 0))[0] for cls in classes)
+                 for cells in by_second.values()), default=0)
+        # the peak line prints TCP bytes as the TCP peak times one size
+        assert c.peak(TCP_CLASSES) * TCP_CONTROL_BYTES == max(
+            (c.second_bytes(sec, TCP_CLASSES) for sec in c.seconds()), default=0)
+
     def test_snapshot_is_independent_of_the_original(self):
         c = PacketCounters()
         c.record("tcp_syn", 1 * SEC)
@@ -155,7 +206,7 @@ class TestPacketCounters:
         snap = c.snapshot()
         c.record("tcp_syn", 1 * SEC)
         c.record("banner_data", 1 * SEC, 4)
-        c.record("tcp_rst", 0)
+        c.record("tcp_rst", 2 * SEC)
         c.record("arp_request", 2 * SEC)
         assert list(snap.seconds()) == [1]
         assert snap.counts["tcp_syn"] == 1 and snap.bytes["banner_data"] == 70

@@ -285,6 +285,34 @@ class TestCorruptionDetection:
             loads_fingerprint(seal(body.replace(old, new)))
 
 
+    # each one loaded before the loader matched numbers and the trailer
+    # exactly as the writer writes them
+    @pytest.mark.parametrize("old, new", [
+        (b"started 100\n", b"started 01\n"),
+        (b"finished 2200\n", b"finished 02200\n"),
+        (b"rtt 400 ", b"rtt 0400 "),
+        (b"port 22 open", b"port 022 open"),
+        (b"banner 22 ", b"banner 022 "),
+    ])
+    def test_a_number_with_a_leading_zero_is_caught(self, old, new):
+        body = dumps_fingerprint(sample_fp()).rsplit(b"checksum", 1)[0]
+        assert old in body
+        with pytest.raises(CorruptRecord):
+            loads_fingerprint(seal(body.replace(old, new)))
+
+    @pytest.mark.parametrize("trailer", [
+        "checksum %08X\n", "checksum 0x%08x\n", "checksum +%08x\n",
+        "checksum  %08x\n", "checksum %08x \n", "checksum 0%08x\n",
+    ])
+    def test_a_checksum_not_as_written_is_caught(self, trailer):
+        data = dumps_fingerprint(sample_fp())
+        body = data.rsplit(b"checksum", 1)[0]
+        mutated = body + (trailer % zlib.crc32(body)).encode()
+        assert mutated != data  # the sample's checksum has hex letters
+        with pytest.raises(CorruptRecord, match="^unreadable checksum line$"):
+            loads_fingerprint(mutated)
+
+
 class TestFingerprintStore:
     def test_save_and_load_trusted(self, tmp_path):
         store = FingerprintStore(tmp_path)
