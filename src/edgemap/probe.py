@@ -68,14 +68,8 @@ def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
     Returns the port states as a PortTable and the banners by port.
     """
     # everything but the port is fixed for the host, so bind it once
-    timeout = config.connect_timeout
-    if config.syn_scan:
-        syn = transport.tcp_syn
-        send = lambda port: syn(target, port, timeout)
-    else:
-        connect, grab, most = (transport.tcp_connect, config.banner_grab,
-                               config.banner_max_bytes)
-        send = lambda port: connect(target, port, timeout, grab, most)
+    syn_scan, syn, connect = config.syn_scan, transport.tcp_syn, transport.tcp_connect
+    timeout, grab, most = config.connect_timeout, config.banner_grab, config.banner_max_bytes
     sleep, delay = transport.clock.sleep, config.port_delay
     first = config.port_range[0]
     codes, code_of = bytearray(config.port_range[1] - first + 1), PORT_CODES
@@ -83,7 +77,8 @@ def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
     for port in order:
         if stop is not None and stop():
             raise SweepAborted
-        result = send(port)
+        result = (syn(target, port, timeout) if syn_scan
+                  else connect(target, port, timeout, grab, most))
         codes[port - first] = code_of[result.state._value_]
         if result.banner:
             banners[port] = result.banner

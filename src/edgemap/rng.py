@@ -73,20 +73,23 @@ class Prng:
         Draws exactly what `below(i + 1)` would for each i, with the
         xorshift64* step inlined: a port order shuffles a thousand items,
         and two method calls per item cost as much as the arithmetic.
+        `below(n)` rejects a draw at or above `_MASK - _MASK % n`, at
+        least `2**64 - n`; so every draw under `2**64 - len(items)` is
+        accepted, as `below` would, and only one at or above that bound
+        (odds len(items) in 2**64) works out the exact limit.
         """
         mask, mult = _MASK, _MULT
+        bound = mask + 1 - len(items)
         x = self._state
         for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            limit = mask - mask % n
             while True:
                 x ^= x >> 12
                 x ^= (x << 25) & mask
                 x ^= x >> 27
                 out = (x * mult) & mask
-                if out < limit:
+                if out < bound or out < mask - mask % (i + 1):
                     break
-            j = out % n
+            j = out % (i + 1)
             items[i], items[j] = items[j], items[i]
         self._state = x
         return items

@@ -82,6 +82,9 @@ class SimNetwork(ProbeTransport):
         # keyed by int(address): an IPv4Address hashes through hex(), and
         # every probe looks its target up here
         self._hosts = {int(spec.address): spec for spec in hosts}
+        # the last port probe's target and its key: a scan sends a host's
+        # ports back to back, and int() of an IPv4Address is a Python call
+        self._target, self._key = None, None
         self._actions = actions
         self._next_action = 0
         self._due = actions[0][0] if actions else math.inf
@@ -109,7 +112,8 @@ class SimNetwork(ProbeTransport):
         return max(rtt, 1)
 
     def _reachable(self, target: IPv4) -> Optional[SimHostSpec]:
-        """The host answering at `target` now; no probe reads host state before this."""
+        """The host answering at `target` now; no probe reads host state
+        before this, or before the same steps inlined in `_syn`."""
         if self.clock.now() >= self._due:
             self._apply_due()
         host = self._hosts.get(int(target))
@@ -147,20 +151,35 @@ class SimNetwork(ProbeTransport):
         clock already past it.  An open port comes back with its SYN+ACK
         recorded and the clock still at the send time, so the caller
         finishes the exchange.
+
+        Every port probe runs through here, so a closed or filtered one is
+        settled in this frame: `_reachable`'s checks, `_rtt`'s draw in the
+        same order, and the clock moved in place, never backwards.
         """
-        t0 = self.clock.now()
+        clock = self.clock
+        t0 = clock._now
+        if t0 >= self._due:
+            self._apply_due()
+        if target is not self._target:
+            self._target, self._key = target, int(target)
+        host = self._hosts.get(self._key)
         self.counters.record("tcp_syn", t0)
-        host = self._reachable(target)
-        if host is not None and port not in host.filtered_ports:
-            rtt = self._rtt(host)
+        if host is not None and host.arp_enabled and port not in host.filtered_ports:
+            rtt = int(host.base_rtt * host.latency_factor)
+            if host.rtt_jitter:
+                rtt += self._prng.below(host.rtt_jitter + 1)
+            if rtt < 1:
+                rtt = 1
             if rtt <= timeout:
                 if port in host.open_ports:
                     self.counters.record("tcp_synack", t0 + rtt)
                     return PortProbe(_OPEN, None, rtt)
                 self.counters.record("tcp_rst", t0 + rtt)  # target refuses
-                self.clock.advance_to(t0 + rtt)
+                clock._now = t0 + rtt
                 return PortProbe(_CLOSED, None, rtt)
-        self.clock.advance_to(t0 + timeout)
+        if timeout < 0:  # the clock never moves backwards
+            raise ValueError(f"negative timeout {timeout}")
+        clock._now = t0 + timeout
         return _FILTERED_PROBE
 
     def _reset(self, when: int) -> None:
@@ -180,7 +199,7 @@ class SimNetwork(ProbeTransport):
             return probe
         t0, rtt = self.clock.now(), probe.rtt
         self.counters.record("tcp_ack", t0 + rtt)
-        banner = self._hosts[int(target)].open_ports[port]
+        banner = self._hosts[self._key].open_ports[port]  # the host _syn just reached
         if banner_grab and banner:
             # service pushes its banner one round trip after the handshake
             self.counters.record("banner_data", t0 + 2 * rtt, len(banner))

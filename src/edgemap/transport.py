@@ -78,7 +78,9 @@ class PacketCounters:
 
     `record` adds to the newest row, appending one when the second rolls
     over.  Packets are recorded in time order: one in a second before the
-    newest raises ValueError and changes nothing.
+    newest raises ValueError and changes nothing.  It adds to the count
+    cell in place; `_add`, which widens the cells, takes only an overflow
+    and the bytes of a `banner_data` packet.
     """
 
     def __init__(self):
@@ -103,10 +105,13 @@ class PacketCounters:
             self._secs.append(sec)
             cells.frombytes(_ZERO_ROW[cells.typecode])
             self._newest, self._last = sec, len(cells) - _ROW
-        row = self._last
-        self._add(row + _CELL[cls], 1)
+        cell = self._last + _CELL[cls]
+        try:
+            self._cells[cell] += 1
+        except OverflowError:
+            self._add(cell, 1)
         if cls == "banner_data":
-            self._add(row + _BANNER_BYTES_CELL, payload_len + BANNER_FRAMING_BYTES)
+            self._add(self._last + _BANNER_BYTES_CELL, payload_len + BANNER_FRAMING_BYTES)
 
     @property
     def counts(self) -> dict:

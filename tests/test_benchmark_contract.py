@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from edgemap import cli
+from edgemap.simnet import SimNetwork
 from edgemap.store import FingerprintStore
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,10 +36,18 @@ def patched_names(places):
     return {(owner, attr): owner.__dict__[attr] for owner, attr in places}
 
 
-def test_tracer_wraps_the_names_a_simulate_run_calls():
+def test_tracer_wraps_the_names_a_simulate_run_calls(monkeypatch):
     tracer_mod = load_benchmark_module("tracer")
     places = [place for targets in tracer_mod.TARGETS.values() for place in targets]
     originals = patched_names(places)
+    networks = []
+    init = SimNetwork.__init__
+
+    def keep(net, *args, **kwargs):
+        init(net, *args, **kwargs)
+        networks.append(net)
+
+    monkeypatch.setattr(SimNetwork, "__init__", keep)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -54,6 +63,15 @@ def test_tracer_wraps_the_names_a_simulate_run_calls():
     idle = {"transport.snapshot", "store.loads"}
     assert {name for name, n in calls.items() if n == 0} == idle
     assert tracer.scan.sweeps == 6 and tracer.scan.diffs == 4
+    # every probe the commands sent went through a traced primitive, so the
+    # per-probe ratios (useful_ratio, timeout_wait_share) count them all
+    sent = {cls: sum(net.counters.counts[cls] for net in networks)
+            for cls in ("tcp_syn", "arp_request", "icmp_request")}
+    assert len(networks) == 2 and sent["tcp_syn"] > 0
+    assert calls["simnet.tcp_connect"] + calls["simnet.tcp_syn"] == sent["tcp_syn"]
+    assert calls["simnet.arp_probe"] == sent["arp_request"]
+    assert calls["simnet.icmp_ping"] == sent["icmp_request"]
+    assert tracer.scan.probes == sum(sent.values())
 
 
 @pytest.mark.parametrize("workload", ["longrun", "compare"])

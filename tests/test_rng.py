@@ -74,17 +74,75 @@ def test_shuffle_is_permutation():
 
 
 def test_shuffle_matches_fisher_yates_oracle():
-    draws = []
-    recorder = Prng(77)
-    mirror = Prng(77)
-    items = list(range(10))
-    recorder.shuffle(items)
-    # replay the same draws against a hand-written Fisher-Yates
-    expected = list(range(10))
-    for i in range(9, 0, -1):
-        j = mirror.below(i + 1)
-        expected[i], expected[j] = expected[j], expected[i]
-    assert items == expected
+    for size in (10, 1024):  # 1,024: the size of a port order
+        recorder = Prng(77)
+        mirror = Prng(77)
+        items = list(range(size))
+        recorder.shuffle(items)
+        # replay the same draws against a hand-written Fisher-Yates
+        expected = list(range(size))
+        for i in range(size - 1, 0, -1):
+            j = mirror.below(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert items == expected
+
+
+def unshift_right(y, s):
+    """Invert `x ^= x >> s`: each pass fixes s more of the high bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def unshift_left(y, s):
+    """Invert `x ^= x << s` on 64 bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ ((x << s) & MASK)
+    return x
+
+
+def prng_drawing_next(output):
+    """A generator whose next output is `output`: undo the multiplier,
+    then the three xorshift steps in reverse order."""
+    state = (output * pow(0x2545F4914F6CDD1D, -1, 2**64)) & MASK
+    state = unshift_right(unshift_left(unshift_right(state, 27), 25), 12)
+    p = Prng(0)
+    p._state = state
+    return p
+
+
+def fisher_yates(stream, size):
+    """Hand-written Fisher-Yates over raw 64-bit draws, rejecting a draw
+    at or above the largest multiple of the bound, as `below` documents."""
+    items = list(range(size))
+    for i in range(size - 1, 0, -1):
+        n = i + 1
+        while True:
+            out = stream.next_u64()
+            if out < MASK - MASK % n:
+                break
+        j = out % n
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+# 2**64 - 1 is rejected for every bound; 2**64 - 8 is at or above the
+# shuffle's one bound for 10 items (2**64 - 10) but under the exact limit
+# for n = 10 (2**64 - 6), so it is accepted only after the exact check.
+@pytest.mark.parametrize("first, rejected", [(MASK, True), (2**64 - 8, False)])
+def test_a_draw_near_the_top_takes_the_exact_limit(first, rejected):
+    assert prng_drawing_next(first).next_u64() == first
+    mirror = prng_drawing_next(first)
+    mirror.next_u64()
+    second = mirror.next_u64()
+    assert prng_drawing_next(first).below(10) == (second if rejected else first) % 10
+    items = prng_drawing_next(first).shuffle(list(range(10)))
+    assert items == fisher_yates(prng_drawing_next(first), 10)
+    # the oracle's first swap partner is the accepted draw's remainder
+    j = (second if rejected else first) % 10
+    assert items[9] == j
 
 
 def test_shuffle_not_identity_for_typical_seed():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import small_config
 from edgemap.model import PortState
 from edgemap.probe import scan_host_ports
+from edgemap.rng import Prng
 from edgemap.simnet import SimHostSpec, SimNetwork
 from edgemap.transport import (DISCOVERY_CLASSES, FIXED_SIZE, PACKET_CLASSES, TCP_CLASSES,
                                TCP_CONTROL_BYTES, PacketCounters)
@@ -255,6 +256,47 @@ class TestReachability:
         net_b = SimNetwork([spec], seed=5)
         rtts_b = [net_b.icmp_ping(spec.address, SEC).rtt for _ in range(20)]
         assert rtts_a == rtts_b
+
+    @pytest.mark.parametrize("syn_scan", [False, True], ids=["connect", "syn"])
+    def test_tcp_jitter_draws_once_per_syn_that_reaches_a_host(self, syn_scan):
+        spec = SimHostSpec(address=A("10.0.0.1"), base_rtt=1000, rtt_jitter=300,
+                           open_ports={22: b"SSH-2.0\r\n", 80: None},
+                           filtered_ports=frozenset({23}))
+        host, dark = spec.address, A("10.0.0.9")
+        net, mirror = SimNetwork([spec], seed=5), Prng(5)
+        expected_clock, rtts = 0, []
+        for target, port in ((host, 22), (host, 23), (dark, 22), (host, 25),
+                             (host, 80), (dark, 25), (host, 23), (host, 25)):
+            probe = (net.tcp_syn(target, port, SEC) if syn_scan
+                     else net.tcp_connect(target, port, SEC))
+            if target == dark or port == 23:  # no draw: nobody answers
+                assert probe.state is PortState.FILTERED and probe.rtt is None
+                expected_clock += SEC
+            else:
+                rtt = 1000 + mirror.below(301)
+                assert probe.rtt == rtt
+                rtts.append(rtt)
+                # a connect scan reads the banner one more round trip later
+                expected_clock += 2 * rtt if port == 22 and not syn_scan else rtt
+            assert net.clock.now() == expected_clock
+        # four timeouts and four round trips; a connect scan waits port
+        # 22's round trip once more for its banner
+        assert len(rtts) == 4
+        assert net.clock.now() == 4 * SEC + sum(rtts) + (0 if syn_scan else rtts[0])
+        assert net._prng.next_u64() == mirror.next_u64()
+
+    @pytest.mark.parametrize("primitive", ["tcp_syn", "tcp_connect", "arp_probe", "icmp_ping"])
+    @pytest.mark.parametrize("target, port", [("10.0.0.1", 22), ("10.0.0.1", 23),
+                                              ("10.0.0.1", 25), ("10.0.0.9", 22)],
+                             ids=["open", "filtered", "closed", "dark"])
+    def test_a_negative_timeout_never_moves_the_clock_back(self, primitive, target, port):
+        net = SimNetwork([SimHostSpec(address=A("10.0.0.1"), open_ports={22: b"SSH"},
+                                      filtered_ports=frozenset({23}))])
+        net.clock.advance_to(5 * SEC)
+        args = (A(target), port, -1) if primitive.startswith("tcp") else (A(target), -1)
+        with pytest.raises(ValueError):
+            getattr(net, primitive)(*args)
+        assert net.clock.now() == 5 * SEC
 
 
 class TestScript:
