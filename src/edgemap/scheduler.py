@@ -12,7 +12,7 @@ from .rng import Prng
 from .sink import Severity
 from .timebase import MILLISECOND
 
-# epoch files kept per config digest; a /24 epoch is about 1 MB
+# epoch files kept per config digest; a /24 epoch on ports 1-1024 is about 12 KB
 KEEP_EPOCHS = 100
 
 

@@ -141,12 +141,13 @@ class SimNetwork(ProbeTransport):
                     self.counters.record(_ECHO_REPLY[request], t0 + rtt)
                     clock._now = t0 + rtt
                     return ProbeReply(True, rtt)
+                # tuple.__new__ skips the NamedTuple's Python-level __new__
                 if port in host.open_ports:
                     self.counters.record("tcp_synack", t0 + rtt)
-                    return PortProbe(_OPEN, None, rtt)
+                    return tuple.__new__(PortProbe, (_OPEN, None, rtt))
                 self.counters.record("tcp_rst", t0 + rtt)  # target refuses
                 clock._now = t0 + rtt
-                return PortProbe(_CLOSED, None, rtt)
+                return tuple.__new__(PortProbe, (_CLOSED, None, rtt))
         if timeout < 0:  # the clock never moves backwards
             raise ValueError(f"negative timeout {timeout}")
         clock._now = t0 + timeout

@@ -2,36 +2,46 @@
 
 File format (bit-exact, ascii, LF line endings):
 
-    edgemap-fingerprint v1
+    edgemap-fingerprint v2
     digest <16 lowercase hex>
     trusted <0|1>
     started <microseconds>
     finished <microseconds>
     host <ip> <up|silent>
     rtt <us> [<us> ...]            # only for Up hosts
-    port <number> <open|closed|filtered>
+    port <number> <open|closed|filtered>         # a run of one port
+    ports <lo>-<hi> <open|closed|filtered>       # a run of lo < hi
     banner <number> <hex>
     end
     checksum <8 lowercase hex>
 
 Each host is one block in exactly this line order: its `host` line, then
-its `rtt` line if it is Up, then its `port` lines, then its `banner` lines
-(hex of even length, possibly empty).  The loader enforces that order:
-a line out of it, or one that fits the layout nowhere, is
-CorruptRecord, and the error names that line or the host record it
-left invalid.  Numbers are unsigned decimal with no leading zero, and
-the checksum is exactly 8 lowercase hex digits; a port is 1-65535.
+its `rtt` line if it is Up, then its port runs, then its `banner` lines
+(hex of even length, possibly empty).  A port run is a maximal stretch
+of consecutive probed ports in one state: a run of one port is a `port`
+line, a longer one a `ports` line.  The loader enforces that order: a
+line out of it, or one that fits the layout nowhere, is CorruptRecord,
+and the error names that line or the host record it left invalid.
+Numbers are unsigned decimal with no leading zero, and the checksum is
+exactly 8 lowercase hex digits; a port is 1-65535.
 
 Hosts appear in strictly ascending numeric address order, and each
-host's ports and banners strictly ascending, so two records of the same
+host's runs and banners strictly ascending, so two records of the same
 network are byte-identical and file diffs stay readable.  The loader
-enforces this: a host named twice or out of order, or a port or a
-banner repeated or out of order, is CorruptRecord naming the host, never
-a line that silently replaces another.  The writer formats the port
-lines straight from each host's PortTable, and the loader builds the
-table's codes straight from them.  The checksum is CRC-32 over every
-byte up to and including the 'end' line; any corruption loads as
-CorruptRecord, never as a silently truncated fingerprint.
+enforces this: a host named twice or out of order, a run that overlaps
+or precedes the one before it, two adjacent runs in one state (a split
+run), a `ports` line whose lo is not below its hi, or a banner repeated
+or out of order, is CorruptRecord naming the host, never a line that
+silently replaces another.  The writer finds the runs in each host's
+PortTable codes with one regular expression, and the loader fills the
+codes one run at a time.  The checksum is CRC-32 over every byte up to
+and including the 'end' line; any corruption loads as CorruptRecord,
+never as a silently truncated fingerprint.
+
+Version 1 (`edgemap-fingerprint v1`) is read, never written: it has the
+same layout but one `port` line per probed port, and no `ports` lines.
+A v1 record, such as the trusted baseline of a node set up before v2,
+loads to the same fingerprint as its v2 record.
 """
 
 from __future__ import annotations
@@ -40,14 +50,13 @@ import ipaddress
 import os
 import re
 import zlib
-from itertools import count
 from operator import lt
 from pathlib import Path
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
 from .model import PORT_CODES, Alive, HostRecord, NetworkFingerprint, PortTable
 
-HEADER = "edgemap-fingerprint v1"
+HEADER = "edgemap-fingerprint v2"
 
 _ALIVE_WIRE = {Alive.UP: "up", Alive.SILENT_UP: "silent"}
 # the loader reads the record as bytes
@@ -55,6 +64,8 @@ _ALIVE_BY_WIRE = {v.encode(): k for k, v in _ALIVE_WIRE.items()}
 # a port state's name by its PortTable code, and the code by the name
 _STATE_WIRE = (None, *PORT_CODES)
 _CODE_BY_WIRE = {name.encode(): code for name, code in PORT_CODES.items()}
+# a maximal run of one state in a PortTable's codes
+_CODE_RUN = re.compile(b"|".join(b"%c+" % code for code in PORT_CODES.values()))
 
 
 def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
@@ -66,9 +77,14 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
         lines = [f"host {addr} {_ALIVE_WIRE[rec.alive]}"]
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
-        ports = rec.ports
-        lines += [f"port {port} {_STATE_WIRE[code]}"
-                  for port, code in zip(count(ports.first), ports.codes) if code]
+        first, codes = rec.ports.first, rec.ports.codes
+        for run in _CODE_RUN.finditer(codes):
+            lo, end = run.span()
+            state = _STATE_WIRE[codes[lo]]
+            if end - lo == 1:
+                lines.append(f"port {first + lo} {state}")
+            else:
+                lines.append(f"ports {first + lo}-{first + end - 1} {state}")
         for port in sorted(rec.banners):
             lines.append(f"banner {port} {rec.banners[port].hex()}")
         lines.append("")
@@ -80,18 +96,73 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
 
 # The layout of the module docstring, matched on the record's bytes one
 # host at a time.  A repeated group keeps a backtracking entry of a few
-# hundred bytes per repetition until its match returns, so port lines are
-# matched, and their codes built, at most 1,024 at a time (one match for
-# the default port range), and banner lines (hex of any length) one at a
-# time.  A port number has at most five digits, so a table is at most
-# 100,000 bytes before PortTable refuses the ports above 65535.
+# hundred bytes per repetition until its match returns, so v1 port lines
+# are matched, and their codes built, at most 1,024 at a time (one match
+# for the default port range), v2 runs and banner lines (hex of any
+# length) one at a time.  A port number has at most five digits, so a
+# table is at most 100,000 bytes before PortTable refuses the ports above
+# 65535.
 _NUMBER = rb"(?:0|[1-9][0-9]*)"
-_PREAMBLE = re.compile(HEADER.encode() + rb"\ndigest ([0-9a-f]{16})\ntrusted ([01])\n"
+_PREAMBLE = re.compile(rb"digest ([0-9a-f]{16})\ntrusted ([01])\n"
                        rb"started (%s)\nfinished (%s)\n" % (_NUMBER, _NUMBER))
 _HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:%s )*%s)\n)?" % (_NUMBER, _NUMBER))
-_PORTS = re.compile(rb"(?:port (?!0[0-9])[0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
+_V1_PORTS = re.compile(rb"(?:port (?!0[0-9])[0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
+# a v2 run: the lo of a `ports` line, then the hi, or the one port of a `port` line
+_RUN = re.compile(rb"port(?:s ([1-9][0-9]{0,4})-| )([1-9][0-9]{0,4}) (open|closed|filtered)\n")
 _BANNER = re.compile(rb"banner (%s) ([0-9a-f]*)\n" % _NUMBER)
 _TRAILER = re.compile(rb"checksum ([0-9a-f]{8})\n")
+
+
+def _v1_ports(data: bytes, pos: int, addr) -> tuple:
+    """The `first` and codes of the v1 port lines at `pos`, and where they end."""
+    first, codes = 0, bytearray()
+    while run := _V1_PORTS.match(data, pos):
+        words = run[0].split()
+        ports = list(map(int, words[1::3]))
+        run_codes = bytes(map(_CODE_BY_WIRE.__getitem__, words[2::3]))
+        lo, hi = ports[0], ports[-1]
+        if not codes:
+            first = lo
+        if lo < first + len(codes) or not all(map(lt, ports, ports[1:])):
+            raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
+        codes += bytes(hi - first + 1 - len(codes))
+        if hi - lo + 1 == len(ports):  # strictly ascending, so consecutive
+            codes[lo - first:] = run_codes
+        else:
+            for port, code in zip(ports, run_codes):
+                codes[port - first] = code
+        pos = run.end()
+    return first, codes, pos
+
+
+def _v2_ports(data: bytes, pos: int, addr) -> tuple:
+    """The `first` and codes of the v2 port runs at `pos`, and where they end."""
+    first, codes = 0, bytearray()
+    end, state = 0, None  # one past the previous run, and its state
+    while run := _RUN.match(data, pos):
+        hi = int(run[2])
+        lo = int(run[1]) if run[1] else hi
+        if run[1] and lo >= hi:
+            raise CorruptRecord(f"port run {lo}-{hi} of host {addr} is not two or more "
+                                f"ascending ports")
+        if lo < end:
+            raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
+        if lo == end and run[3] == state:
+            raise CorruptRecord(f"port run of host {addr} split at port {lo}")
+        if not codes:
+            first = end = lo
+        codes += bytes(lo - end)
+        codes += bytes([_CODE_BY_WIRE[run[3]]]) * (hi - lo + 1)
+        end, state = hi + 1, run[3]
+        pos = run.end()
+    if data.startswith(b"port", pos):
+        line = data[pos:data.index(b"\n", pos)].decode()
+        raise CorruptRecord(f"bad port line {line!r} of host {addr}")
+    return first, codes, pos
+
+
+# the port lines' reader for each header this loader reads
+_PORT_READERS = {HEADER.encode(): _v2_ports, b"edgemap-fingerprint v1": _v1_ports}
 
 
 def loads_fingerprint(data: bytes) -> NetworkFingerprint:
@@ -109,10 +180,11 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
     actual = zlib.crc32(memoryview(data)[:cut])
     if stated != actual:
         raise CorruptRecord(f"checksum mismatch: stated {stated:08x}, actual {actual:08x}")
-    if not data.startswith(HEADER.encode() + b"\n"):
-        header = data[:data.index(b"\n")].decode()
-        raise CorruptRecord(f"bad header line {header!r}")
-    head = _PREAMBLE.match(data)
+    header = data[:data.index(b"\n")]
+    read_ports = _PORT_READERS.get(header)
+    if read_ports is None:
+        raise CorruptRecord(f"bad header line {header.decode()!r}")
+    head = _PREAMBLE.match(data, len(header) + 1)
     if head is None:
         raise CorruptRecord("bad record preamble")
     hosts = {}
@@ -127,24 +199,7 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
             raise CorruptRecord(f"host {addr} named twice" if int(addr) == last
                                 else f"host {addr} out of ascending address order")
         last = int(addr)
-        pos = host.end()
-        first, codes = 0, bytearray()
-        while run := _PORTS.match(data, pos):
-            words = run[0].split()
-            ports = list(map(int, words[1::3]))
-            run_codes = bytes(map(_CODE_BY_WIRE.__getitem__, words[2::3]))
-            lo, hi = ports[0], ports[-1]
-            if not codes:
-                first = lo
-            if lo < first + len(codes) or not all(map(lt, ports, ports[1:])):
-                raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
-            codes += bytes(hi - first + 1 - len(codes))
-            if hi - lo + 1 == len(ports):  # strictly ascending, so consecutive
-                codes[lo - first:] = run_codes
-            else:
-                for port, code in zip(ports, run_codes):
-                    codes[port - first] = code
-            pos = run.end()
+        first, codes, pos = read_ports(data, host.end(), addr)
         banners = {}
         previous = -1  # the previous banner's port
         while (banner := _BANNER.match(data, pos)) and len(banner[2]) % 2 == 0:

@@ -5,6 +5,7 @@ compared structurally against the package output in the tests.
 """
 
 import statistics
+import zlib
 
 
 def _median(samples):
@@ -57,3 +58,23 @@ def event_tuples(events):
 def median_low_oracle(samples):
     assert _median(samples) == statistics.median_low(samples)
     return _median(samples)
+
+
+def dumps_v1(fp):
+    """The version 1 record of a fingerprint, one `port` line per probed port.
+
+    The store still reads v1 records (a node's trusted baseline may predate
+    v2) but writes only v2; this is the v1 writer, kept to make v1 inputs.
+    """
+    lines = ["edgemap-fingerprint v1", f"digest {fp.config_digest:016x}",
+             f"trusted {int(fp.trusted)}", f"started {fp.started_at}",
+             f"finished {fp.finished_at}"]
+    for addr in sorted(fp.hosts, key=int):
+        rec = fp.hosts[addr]
+        lines.append(f"host {addr} {rec.alive.value}")
+        if rec.rtt_samples:
+            lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
+        lines += [f"port {port} {state.value}" for port, state in rec.ports.items()]
+        lines += [f"banner {port} {rec.banners[port].hex()}" for port in sorted(rec.banners)]
+    body = ("\n".join(lines) + "\nend\n").encode("ascii")
+    return body + b"checksum %08x\n" % zlib.crc32(body)

@@ -6,6 +6,7 @@ refactor that deletes or renames one of them would otherwise fail only
 when the benchmark runs.  The benchmark files are loaded read-only.
 """
 
+import argparse
 import importlib.util
 import io
 import sys
@@ -87,6 +88,28 @@ def test_markers_patch_and_restore(workload):
     expected = ({(cli, "build_config")} if workload == "compare"
                 else set(places) - {(cli, "build_config")})
     assert changed == expected
+
+
+def test_a_diff_command_runs_through_the_compare_markers(tmp_path, monkeypatch):
+    """One `compare` operation as the benchmark issues it: `diff` of two
+    generated v1 records through the marked `cli.build_config`, checked by
+    the benchmark's own oracle, then one set-up-only command.  A changed
+    call form of build_config fails here, not only when the benchmark runs."""
+    run_mod = load_benchmark_module("run")
+    places = [(cli, "build_config")]
+    originals = patched_names(places)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))  # Bench imports check and inputs
+    bench = run_mod.Bench(argparse.Namespace(workload="compare", seed=1), tmp_path)
+    try:
+        inv = bench.invoke()
+        marked_setup = bench.markers.setup_end is not None
+        setup = bench.invoke(setup_only=True)
+    finally:
+        bench.close()
+    assert patched_names(places) == originals
+    assert inv.code == 1 and marked_setup
+    assert bench.tally.ops == 1 and bench.tally.correct, bench.tally.problems
+    assert setup.code is None and bench.markers.setup_end is not None
 
 
 def test_scan_stats_agree_with_the_peak_line():

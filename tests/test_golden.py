@@ -20,51 +20,51 @@ from edgemap import cli
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # the six scenarios on sim.conf share the reference network's baseline
-REFERENCE_TRUSTED = "ef6e6e44b44045d6e1e3f557aa1c30bcd1a040179744ae5508ded17183f20938"
+REFERENCE_TRUSTED = "373605017853a235d3c1a4839037ea93f91be24863e4aee1c0d9b0f9a9c7b269"
 
 # scenario -> sha256 of simulate's stdout, and of each stored fingerprint
 SIMULATE_SHA256 = {
     "01-node-removed.scn": (
         "368ad46419003eead8e48d544c2c963fd7981a89e7baf4265fdac416b16a4371",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "314e0716ac4259ee4ce34a89a8accad06ece6d3465ec64440ef085ed6a296a2e",
-         "epoch000002": "062d33638fa40141f987dff540eeed21df9fc4d11be5b8e969ac9b8fc489f9ae"}),
+         "epoch000001": "32803fb21fa70b31c09a534b2850d406cef4982fa0528fce959f864838f8fbd0",
+         "epoch000002": "879e19455818faffcc97e080a7c8237d4f24d1140397a8e0e0278af403f0f547"}),
     "02-service-changed.scn": (
         "563b9a4a0a3fe09a8343ad98abd52c3aa2dd8142bf375d09badc14d168aa6046",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "fc2c8306fbeb0e3979988de18ecb7b396ad7518292b86b8a061901eab4daa844",
-         "epoch000002": "227ab8c7714934642fa644d2028234e4f7785e52a2fb5ee111de4c8b170a66f7"}),
+         "epoch000001": "24fd9b5dd226a7d2726e1a3abacbbf00d6fcbd3de2211811200170caef1903f2",
+         "epoch000002": "79a79eb80282122f285245e3d5513ded5b54aef113d16a98e8c2705352d06b2b"}),
     "03-new-device.scn": (
         "95c1e8554e92f3519d6550d73f64e4da37bcbdf52076a4d9378cb3c8909f05bb",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "c67155d5c0ec38e91bb23366fcac8f08e463ebf1a922a19b29270d8bf6ff4662",
-         "epoch000002": "0737c7bdbed81c906e644140b7be2876e57c235b6d68569af6496742bd16bba8"}),
+         "epoch000001": "7b20790641e1e047ae0fdcde825e39a1d7a162004a6d056aba6df67bfcac2a3d",
+         "epoch000002": "92359377fd7462bc8d0255c2d4e972c555eb95b08c77110b2eaa5b8d59b43aa8"}),
     "04-mitm-below.scn": (
         "11a590162b109984a660604ee84a8413eae00862a68c66559cc523b4005b7f50",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "43bb7dbea494a04b02b1f448f90adaa77014e3124450586b06d6c57e31dee718",
-         "epoch000002": "0403ab02939997dd14f2873d720eac3ce52665f934645f9fbf63416fe1950d42"}),
+         "epoch000001": "0ee0149ff4ec5685f29435dc8c6c7a3fc81b0f2544e725ca078463439183a48d",
+         "epoch000002": "f41633e18ffcf3005ee26efd108f7815ebc8579a919cb9421444ab8788edcbbf"}),
     "04-mitm.scn": (
         "99233e0a75c3bdc1e5f5ce0501572716cd30725b24abccb32191ffa58400e08a",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "d1647df2e43f8775433b97341542813187d148bf76dbd41ee594c672f886c56e",
-         "epoch000002": "a444de3bb9faa1991a9f6ccaa3f21c24dfc3cd8bd3203d80fc605196c6ea944e"}),
+         "epoch000001": "78d9774411d7117399b188773a6ad7a739648337ce12cd7944e5e953fdc284ae",
+         "epoch000002": "df8375ef02842e9f18f2db9ee6e8f2f2172f6300bd7c6ea9c06a4276d6486b97"}),
     "05-stealth.scn": (
         "3c2732156f39ab6f6ef70f826f846395c22c2212329693399352b8a7aabc895e",
         {"trusted": REFERENCE_TRUSTED,
-         "epoch000001": "2fcb431e07afa7d8c039c91c2a30f874bf2ff5c9658ff6b9ca196e47ed200802",
-         "epoch000002": "67414df426440e43b2bbcc84cbe7112475c80d5ddf2abf6689e628204d9338cc"}),
+         "epoch000001": "fdb3f31260e9c7e009c0e656ea094de24a1ee23e5a627a1f1ef5a790de9ba49e",
+         "epoch000002": "28108082912cbdf93734dfb7a7b33c446995687e20af937f6ecb86fa0cacd6d4"}),
     "peak-syn.scn": (
         "81f748c4fe94aed4d713e715a9754c153d76cc26f584ae394ae995136ff64bec",
         # a SYN scan grabs no banners, and its config digest says so
-        {"trusted": "47ffc37deb86ff40032f1de239dc6248207e18b45b82fd50333c0d605400eb17",
-         "epoch000001": "81dc0a4c4c7c1c7adfd0d26f403110c6f280b3246ba4155a094f91a702b6425c",
-         "epoch000002": "6b721f547e0528a3528199578b6e14ed3fbe6cfe588553a1ee6755d61382c268"}),
+        {"trusted": "712748912874e8d598fc1207fefd2cf9bbf8ed5a3ec43133b828fc27a0792bd4",
+         "epoch000001": "39f147e410ac8b761d12a3cb63495284f29ee45e16b0d41bff916883112ddb56",
+         "epoch000002": "ede3fbfb7f0127627e80080679cabba451fc6d4055f3b793d476abd75cdf701b"}),
     "rates-10host.scn": (
         "d598817bbfa2eb28f034bd0d5539472e6fa036f5c4ecf003e04e55e348efdb8b",
-        {"trusted": "a1000c7c1ce6ac0963419d971b443c3e00492657c319d7cd3775b833f1021827",
-         "epoch000001": "7c6afddf7ab4a5738091ce52f640d7708a1c51be2f66a05543ad3a2e5ebc906f",
-         "epoch000002": "e3b8b36bc9e292fa5542cf98e1c74f20acc4479630b61a9ef1ef818c4e4a2ab2"}),
+        {"trusted": "bc63a72138ab950b951fd2c7b7dca70e772c0ab65a0092ff6d57889fa16f5425",
+         "epoch000001": "e90355d03e7ccea92a6042fe5e3b3e6b3b8b7c12e1d84892fa17357e3ca99143",
+         "epoch000002": "89b673d607490a222312c041ae8f97d6bdf1f477ce971765a7d0ca4c5de9cf93"}),
 }
 
 # No shipped scenario jitters, so this one pins the order in which ARP, ICMP
@@ -86,16 +86,16 @@ at 300s add-host 10.0.0.6 rtt=300us jitter=299us port=13:"hi"
 JITTER_SHA256 = {
     "connect": (
         "c85672fd96bc701683b89f2701f2c300830614ef83ae5b5a48d9dbd416b5a16e",
-        {"trusted": "ae2ddea4b8ba5c91424323294c5a9253d47816e73a9c0db5bdccbc7a8a9a8af7",
-         "epoch000001": "cceb500fd7467c2fec6e64ed68e2c6e0804a879d99850e2a5c3d668258e22e45",
-         "epoch000002": "3bc0c0fcd2324d47be29977cdab7c858b3efc4ae0110a9e2a04a5d527c5af4dd",
-         "epoch000003": "0370110293f0826980be549b5183eafae3eb4c9aa5f94abd2402a3dc0d9ce75a"}),
+        {"trusted": "0df38bceb7c5afbfe1d769a0d5fc5578bedfc2190552fc0295bd413836fa64dc",
+         "epoch000001": "612ee1c38a4a82085ac431c4ddfde1b966a0708a06fdb4f8bb3ec31aa0c8ebef",
+         "epoch000002": "25c37eb5022f941cc4ce479a5ee2f1e2a098d55d1af58b521f089d3a7adcaa1d",
+         "epoch000003": "7c33a34a1c1097a0416b15b1f3196beaafd2d2c20a712793a3a1f407ff9fdee2"}),
     "syn": (
         "898b6ac2817914e443e0242297d96357d5771ede592b9db7ca892c4c631d9806",
-        {"trusted": "a883c562f571c39551dad729fef8fe7eda5de9311798b733087dbbdc71f67df5",
-         "epoch000001": "00e7262ff07122e1597e21551a9c7620ce6a754596b9fbbf88d8874ceaef7da2",
-         "epoch000002": "b1f0c0f3cf10b939761bc74bb7c0609e8437a645d0c8e27df52d566ec66340fd",
-         "epoch000003": "9b2698017f9feef427ccf873587032f8402c3710b02daed5c50b7d3cbaacad85"}),
+        {"trusted": "87403134007ac5907d54af7d9d750def1cad0111d4366e5297e54b0f0776f0de",
+         "epoch000001": "7b16ab3a77a05dc7f18c4adc27bc048f18fb921275e54528c93320a803a49f96",
+         "epoch000002": "c09f12a1c863fa97a03e26d0e0495731ad904bbb9f4b0cf7463688113ac5323b",
+         "epoch000003": "a88a04f2fb7d7d9d8ed223aae5f4a63f993cb0e345c7c2178059c36591f9c435"}),
 }
 
 # the first sweep sees the network at time zero, before any scripted action

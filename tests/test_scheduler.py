@@ -14,6 +14,7 @@ from edgemap.sink import EventSink, parse_line
 from edgemap.store import FingerprintStore, loads_fingerprint
 from edgemap.model import config_digest
 from conftest import small_config
+from oracles import dumps_v1
 
 A = ipaddress.IPv4Address
 SEC = 1_000_000
@@ -160,6 +161,31 @@ class TestRunMonitor:
         assert all(e["addr"] == "10.0.0.2" for e in events)
         # epochs are stamped on the events in order
         assert [e["epoch"] for e in events] == ["1", "2"]
+
+    def test_a_v1_trusted_baseline_still_serves(self, tmp_path):
+        # a node set up before v2 keeps its v1 baseline: the same events as
+        # from a v2 one, epochs stored as v2, and the baseline left as it is
+        opened = SimHostSpec(address=A("10.0.0.1"), open_ports={5: None, 22: b"SSH-2.0 one\r\n"})
+        actions = ((40 * SEC, A("10.0.0.2"), None), (40 * SEC, A("10.0.0.1"), opened))
+        runs = {}
+        for version in ("v1", "v2"):
+            cfg, net, store, sink, lines = make_parts(tmp_path / version, actions)
+            run_monitor(cfg, net, store, sink, max_epochs=0)
+            trusted = tmp_path / version / "state" / f"{config_digest(cfg):016x}.trusted.fp"
+            if version == "v1":
+                trusted.write_bytes(dumps_v1(loads_fingerprint(trusted.read_bytes())))
+            before = trusted.read_bytes()
+            assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
+            assert trusted.read_bytes() == before
+            assert before.startswith(f"edgemap-fingerprint {version}\n".encode())
+            epochs = sorted((tmp_path / version / "state").glob("*.epoch*.fp"))
+            assert len(epochs) == 2
+            assert all(path.read_bytes().startswith(b"edgemap-fingerprint v2\n")
+                       for path in epochs)
+            runs[version] = (loads_fingerprint(before), intrusions(lines))
+        assert runs["v1"] == runs["v2"]
+        assert sorted({(e["kind"], e["addr"]) for e in runs["v1"][1]}) == [
+            ("HostRemoved", "10.0.0.2"), ("PortOpened", "10.0.0.1")]
 
     def test_stop_before_baseline(self, tmp_path):
         cfg, net, store, sink, _ = make_parts(tmp_path)

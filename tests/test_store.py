@@ -15,6 +15,7 @@ from edgemap.model import Alive, HostRecord, NetworkFingerprint, PortState
 from edgemap.store import (FingerprintStore, dumps_fingerprint,
                            loads_fingerprint)
 from conftest import random_fingerprint
+from oracles import dumps_v1
 from test_golden import SCENARIOS, SIMULATE_SHA256, backend, run
 
 A = ipaddress.IPv4Address
@@ -48,7 +49,7 @@ class TestSerialization:
         body, checksum_line, tail = data.rsplit("\n", 2)
         assert tail == ""
         assert body.split("\n") == [
-            "edgemap-fingerprint v1",
+            "edgemap-fingerprint v2",
             "digest abcdef0123456789",
             "trusted 0",
             "started 100",
@@ -64,6 +65,24 @@ class TestSerialization:
         ]
         stated = int(checksum_line.split()[1], 16)
         assert stated == zlib.crc32((body + "\n").encode())
+
+    def test_each_run_of_one_state_is_one_line(self):
+        states = [PortState.CLOSED] * 3 + [PortState.OPEN] + [PortState.FILTERED] * 5
+        ports = {**dict(zip(range(1, 10), states)), 20: PortState.CLOSED, 21: PortState.CLOSED,
+                 22: PortState.OPEN, 65535: PortState.OPEN}
+        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP, ports=ports)
+        fp = dataclasses.replace(sample_fp(), hosts={rec.address: rec})
+        data = dumps_fingerprint(fp).decode()
+        assert data.split("\n")[5:-3] == [
+            "host 10.0.0.1 silent",
+            "ports 1-3 closed",
+            "port 4 open",
+            "ports 5-9 filtered",
+            "ports 20-21 closed",  # not joined with 1-3 across the unprobed ports
+            "port 22 open",
+            "port 65535 open",
+        ]
+        assert loads_fingerprint(data.encode()) == fp
 
     def test_serialization_is_canonical(self, rnd):
         for _ in range(20):
@@ -81,15 +100,25 @@ class TestSerialization:
 
 @st.composite
 def host_records(draw, address):
-    """A host with 0 to 65,535 ports; states come from a drawn seed, since
-    drawing 65,535 of them one by one is slow."""
+    """A host with 0 to 65,535 ports, in one stretch with `gaps` ports left
+    unprobed; states come from a drawn seed, since drawing 65,535 of them
+    one by one is slow.  Each port keeps the state of the one below it with
+    chance `stay`, so runs are short, long, or span the whole stretch."""
     alive = draw(st.sampled_from([Alive.UP, Alive.SILENT_UP]))
     rtt = ()
     if alive is Alive.UP:
         rtt = tuple(draw(st.lists(st.integers(0, 10**7), min_size=1, max_size=4)))
     count = draw(st.integers(0, 65535))
-    states = random.Random(draw(st.integers(0, 2**32))).choices(list(PortState), k=count)
-    ports = dict(zip(random.Random(count).sample(range(1, 65536), count), states))
+    gaps = draw(st.integers(0, 65535 - count))
+    lo = draw(st.integers(1, 65536 - count - gaps))
+    stay = draw(st.sampled_from([0.0, 0.9, 0.999, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    states = []
+    for _ in range(count):
+        states.append(states[-1] if states and rnd.random() < stay
+                      else rnd.choice(list(PortState)))
+    ports = dict(zip(sorted(random.Random(count).sample(range(lo, lo + count + gaps), count)),
+                     states))
     open_ports = sorted(p for p, state in ports.items() if state is PortState.OPEN)
     banners = {p: draw(st.binary(max_size=12)) for p in open_ports[:draw(st.integers(0, 4))]}
     return HostRecord(address=address, alive=alive, rtt_samples=rtt,
@@ -121,7 +150,9 @@ class TestCodecProperties:
                                   banners={22: b""}),  # written as "banner 22 "
         A("10.0.0.2"): HostRecord(address=A("10.0.0.2"), alive=Alive.SILENT_UP)}))
     def test_loads_inverts_dumps(self, fp):
-        assert loads_fingerprint(dumps_fingerprint(fp)) == fp
+        record = dumps_fingerprint(fp)
+        assert loads_fingerprint(dumps_v1(fp)) == loads_fingerprint(record) == fp
+        assert dumps_fingerprint(loads_fingerprint(record)) == record
 
     @pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
     def test_dumps_inverts_loads_on_the_pinned_records(self, name, tmp_path):
@@ -268,14 +299,14 @@ class TestCorruptionDetection:
          "invalid host record for 10.0.0.2: ports 22..65536 outside 1-65535"),
     ])
     def test_hosts_and_ports_must_ascend(self, blocks, error):
-        preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
+        preamble = dumps_v1(sample_fp()).split(b"host ")[0]
         with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
             loads_fingerprint(seal(preamble + b"".join(line + b"\n" for line in blocks)
                                    + b"end\n"))
 
     @pytest.mark.parametrize("old, new, error", [
-        (b"edgemap-fingerprint v1\n", b"edgemap-fingerprint v2\n",
-         "bad header line 'edgemap-fingerprint v2'"),
+        (b"edgemap-fingerprint v2\n", b"edgemap-fingerprint v3\n",
+         "bad header line 'edgemap-fingerprint v3'"),
         (b"end\n", b"", "record missing end marker"),
         (b"end\n", b"bogus\nend\n", "unexpected line 'bogus'"),
     ])
@@ -295,10 +326,49 @@ class TestCorruptionDetection:
         (b"banner 22 ", b"banner 022 "),
     ])
     def test_a_number_with_a_leading_zero_is_caught(self, old, new):
-        body = dumps_fingerprint(sample_fp()).rsplit(b"checksum", 1)[0]
+        body = dumps_v1(sample_fp()).rsplit(b"checksum", 1)[0]
         assert old in body
         with pytest.raises(CorruptRecord):
             loads_fingerprint(seal(body.replace(old, new)))
+
+    @pytest.mark.parametrize("runs, error", [
+        ([b"ports 22-24 open", b"ports 25-30 open"],
+         "port run of host 10.0.0.2 split at port 25"),
+        ([b"port 22 open", b"ports 23-24 open"], "port run of host 10.0.0.2 split at port 23"),
+        ([b"ports 22-24 open", b"port 25 open"], "port run of host 10.0.0.2 split at port 25"),
+        ([b"port 22 open", b"port 23 open"], "port run of host 10.0.0.2 split at port 23"),
+        ([b"ports 22-30 open", b"ports 25-40 closed"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"ports 40-50 open", b"ports 22-30 closed"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"ports 22-30 open", b"port 30 closed"],
+         "ports of host 10.0.0.2 repeated or out of ascending order"),
+        ([b"ports 30-22 open"],
+         "port run 30-22 of host 10.0.0.2 is not two or more ascending ports"),
+        ([b"ports 22-22 open"],
+         "port run 22-22 of host 10.0.0.2 is not two or more ascending ports"),
+        ([b"ports 022-30 open"], "bad port line 'ports 022-30 open' of host 10.0.0.2"),
+        ([b"ports 22-030 open"], "bad port line 'ports 22-030 open' of host 10.0.0.2"),
+        ([b"port 022 open"], "bad port line 'port 022 open' of host 10.0.0.2"),
+        ([b"port 0 open"], "bad port line 'port 0 open' of host 10.0.0.2"),
+        ([b"ports 0-9 open"], "bad port line 'ports 0-9 open' of host 10.0.0.2"),
+        ([b"port 22 open", b"port 100000 open"],
+         "bad port line 'port 100000 open' of host 10.0.0.2"),
+        ([b"ports 65530-65536 open"],
+         "invalid host record for 10.0.0.2: ports 65530..65536 outside 1-65535"),
+        ([b"ports 22-24 opened"], "bad port line 'ports 22-24 opened' of host 10.0.0.2"),
+    ])
+    def test_a_port_run_not_as_written_is_caught(self, runs, error):
+        preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
+        body = preamble + b"".join(line + b"\n" for line in [b"host 10.0.0.2 silent", *runs])
+        with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
+            loads_fingerprint(seal(body + b"end\n"))
+
+    def test_runs_apart_may_share_a_state(self):
+        preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
+        body = preamble + b"host 10.0.0.2 silent\nports 22-30 open\nport 32 open\nend\n"
+        (rec,) = loads_fingerprint(seal(body)).hosts.values()
+        assert rec.ports == dict.fromkeys([*range(22, 31), 32], PortState.OPEN)
 
     @pytest.mark.parametrize("trailer", [
         "checksum %08X\n", "checksum 0x%08x\n", "checksum +%08x\n",
