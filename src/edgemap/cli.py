@@ -19,7 +19,6 @@ import sys
 import tempfile
 import threading
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -103,6 +102,8 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice")
             values[key] = value
     return values
 
@@ -179,26 +180,19 @@ def _summary(fp, transport) -> str:
 
 
 def cmd_baseline(args, out) -> int:
+    """`baseline`, or with --force `rebaseline`, which replaces the old after the sweep."""
     config = build_config(args)
     store = FingerprintStore(args.state_dir)
-    if store.has_trusted(config_digest(config)):
+    force = getattr(args, "force", False)
+    replacing = store.has_trusted(config_digest(config))
+    if replacing and not force:
         raise TrustedAlreadyExists("trusted baseline already exists (use rebaseline --force)")
     transport, fp = _sweep(args, config)
-    store.save_trusted(replace(fp, trusted=True))
+    store.save_trusted(fp, force=force)
+    if replacing:
+        print("previous trusted baseline discarded", file=out)
     print(f"baseline {_summary(fp, transport)}", file=out)
     return EXIT_OK
-
-
-def cmd_rebaseline(args, out) -> int:
-    config = build_config(args)
-    store = FingerprintStore(args.state_dir)
-    digest = config_digest(config)
-    try:
-        store.delete_trusted(digest)
-        print("previous trusted baseline discarded", file=out)
-    except NotFound:
-        pass
-    return cmd_baseline(args, out)
 
 
 def cmd_scan(args, out) -> int:
@@ -325,7 +319,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="deliberately replace the trusted fingerprint")
     p.add_argument("--force", action="store_true", required=True,
                    help="required; baseline replacement is a deliberate act")
-    p.set_defaults(func=cmd_rebaseline)
+    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("scan", parents=[common], help="one sweep, print results")
     p.add_argument("--out", help="write the fingerprint to this file")

@@ -22,8 +22,9 @@ StopFn = Optional[Callable[[], bool]]
 RTT_SAMPLE_COUNT = 3  # median of three tolerates one outlier cheaply
 
 
-class SweepAborted(Exception):
-    """Raised internally when a stop request interrupts a sweep."""
+class SweepAborted(BaseException):
+    """A stop request, raised in a sweep or a monitor wait.  Like
+    KeyboardInterrupt it is no Exception, since a stop is no failure."""
 
 
 def discover_host(target: IPv4, config: ScanConfig,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .diffing import diff
 from .errors import NotFound
@@ -45,19 +45,19 @@ def make_schedule(config: ScanConfig, rng: Prng) -> ScanSchedule:
                         port_range=config.port_range, _rng=rng)
 
 
-def _wait(clock, duration: int, stop) -> bool:
-    """Sleep, staying responsive to stop requests; True if interrupted."""
-    if clock.is_virtual:
-        if stop is not None and stop():
-            return True
+def _wait(clock, duration: int, stop) -> None:
+    """Sleep `duration`.  With a stop given, wake every 100 ms to read it,
+    and raise SweepAborted once it is set; without one, sleep once."""
+    if stop is None:
         clock.sleep(duration)
-        return stop is not None and stop()
+        return
     deadline = clock.now() + duration
-    while clock.now() < deadline:
-        if stop is not None and stop():
-            return True
-        clock.sleep(min(100 * MILLISECOND, deadline - clock.now()))
-    return stop is not None and stop()
+    while not stop():
+        left = deadline - clock.now()
+        if left <= 0:
+            return
+        clock.sleep(min(100 * MILLISECOND, left))
+    raise SweepAborted
 
 
 def run_monitor(config: ScanConfig, transport, store, sink,
@@ -66,15 +66,16 @@ def run_monitor(config: ScanConfig, transport, store, sink,
 
     Reads the trusted baseline first, so a corrupt one fails before the
     startup jitter is waited out.  Learns the baseline if the store has
-    none for this config, then sweeps every rescan interval and diffs
-    each result against the trusted baseline.  Epochs are numbered on
-    from the highest one the store already holds, and the store keeps
-    only the newest KEEP_EPOCHS of them.  A failed sweep (not
-    diffed, not stored) or store write becomes an operational event and
-    the loop carries on; only a stop request (or the epoch budget, when
-    set) ends it, or a failed baseline sweep, which leaves nothing trusted.
-    Returns the number of epochs run; events leave only through the sink.
-    A negative epoch budget is refused before anything is read or waited.
+    none for this config (the store marks it trusted; a failed baseline
+    sweep raises and leaves nothing trusted), then sweeps every rescan
+    interval and diffs each result against the baseline.  Epochs are
+    numbered on from the highest one the store holds, and it keeps only
+    the newest KEEP_EPOCHS.  A failed sweep (not diffed, not stored),
+    store write or delete is an operational warning and the loop goes on.
+    A stop request (SweepAborted, within 100 ms of a wait or before the
+    next probe) or the epoch budget ends it; an interrupted epoch stores
+    nothing.  Returns the number of epochs finished.  A negative budget
+    is refused before anything is read or waited.
     """
     if max_epochs is not None and max_epochs < 0:
         raise ValueError(f"epoch budget cannot be negative, got {max_epochs}")
@@ -87,50 +88,45 @@ def run_monitor(config: ScanConfig, transport, store, sink,
     except NotFound:
         trusted = None
 
+    def warn(message):
+        sink.emit_operational(message, epoch=epoch, ts=clock.now(),
+                              severity=Severity.WARNING)
+
     schedule = make_schedule(config, rng)
-    if _wait(clock, schedule.startup_delay, stop):
-        return 0
+    first = epoch = 0
+    try:
+        _wait(clock, schedule.startup_delay, stop)
+        if trusted is None:
+            trusted = full_sweep(config, transport, schedule, stop)
+            store.save_trusted(trusted)
+            sink.emit_operational(
+                f"baseline recorded: hosts={len(trusted.hosts)} "
+                f"open_ports={trusted.open_port_count()}",
+                epoch=0, ts=clock.now())
 
-    if trusted is None:
-        try:
-            fp = full_sweep(config, transport, schedule, stop)
-        except SweepAborted:
-            return 0
-        trusted = replace(fp, trusted=True)
-        store.save_trusted(trusted)
-        sink.emit_operational(
-            f"baseline recorded: hosts={len(trusted.hosts)} "
-            f"open_ports={trusted.open_port_count()}",
-            epoch=0, ts=clock.now())
-
-    # each epoch number the loop passes takes epoch k - KEEP_EPOCHS with
-    # it, stored or not; older leftovers of an earlier run go here, once
-    first = epoch = store.latest_epoch(digest) + 1
-    store.prune_epochs(digest, through=first - KEEP_EPOCHS)
-    while max_epochs is None or epoch - first < max_epochs:
-        if _wait(clock, config.rescan_interval, stop):
-            break
-        schedule = make_schedule(config, rng)
-        try:
-            fp = full_sweep(config, transport, schedule, stop)
-        except SweepAborted:
-            break
-        except Exception as exc:
-            sink.emit_operational(f"sweep failed: {exc}", epoch=epoch, ts=clock.now(),
-                                  severity=Severity.WARNING)
-        else:
-            events = diff(trusted, fp, config, epoch=epoch)
-            for event in events:
-                sink.emit_intrusion(event, ts=clock.now())
+        # each epoch number the loop passes takes epoch k - KEEP_EPOCHS with
+        # it, stored or not; older leftovers of an earlier run go here, once
+        first = epoch = store.latest_epoch(digest) + 1
+        store.prune_epochs(digest, through=first - KEEP_EPOCHS)
+        while max_epochs is None or epoch - first < max_epochs:
+            _wait(clock, config.rescan_interval, stop)
+            schedule = make_schedule(config, rng)
             try:
-                store.save_epoch(fp, epoch)
+                fp = full_sweep(config, transport, schedule, stop)
+            except Exception as exc:  # a stop request is no Exception
+                warn(f"sweep failed: {exc}")
+            else:
+                for event in diff(trusted, fp, config, epoch=epoch):
+                    sink.emit_intrusion(event, ts=clock.now())
+                try:
+                    store.save_epoch(fp, epoch)
+                except OSError as exc:
+                    warn(f"store write failed: {exc}")
+            try:
+                store.delete_epoch(digest, epoch - KEEP_EPOCHS)
             except OSError as exc:
-                sink.emit_operational(f"store write failed: {exc}", epoch=epoch,
-                                      ts=clock.now(), severity=Severity.WARNING)
-        try:
-            store.delete_epoch(digest, epoch - KEEP_EPOCHS)
-        except OSError as exc:
-            sink.emit_operational(f"store delete failed: {exc}", epoch=epoch,
-                                  ts=clock.now(), severity=Severity.WARNING)
-        epoch += 1
+                warn(f"store delete failed: {exc}")
+            epoch += 1
+    except SweepAborted:
+        pass
     return epoch - first

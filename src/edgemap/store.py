@@ -50,6 +50,7 @@ import ipaddress
 import os
 import re
 import zlib
+from dataclasses import replace
 from operator import lt
 from pathlib import Path
 
@@ -232,8 +233,10 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
 class FingerprintStore:
     """Directory-backed fingerprint collection.
 
-    At most one trusted record exists per config digest and it is never
-    overwritten; re-baselining is an explicit delete by the operator.
+    At most one trusted record exists per config digest.  The store marks
+    it trusted when it writes it, and writes it once: only a forced save
+    (`rebaseline --force`) replaces it, in the same rename that any write
+    ends with, so a failed or cut replacement leaves the old record.
     Writes go through a temp file and atomic rename.  Only the trusted
     record is fsynced: a torn epoch file fails its CRC and loads as
     CorruptRecord, never as a wrong fingerprint.
@@ -271,14 +274,13 @@ class FingerprintStore:
             finally:
                 os.close(fd)
 
-    def save_trusted(self, fp: NetworkFingerprint) -> None:
-        if not fp.trusted:
-            raise ValueError("fingerprint is not marked trusted")
+    def save_trusted(self, fp: NetworkFingerprint, *, force: bool = False) -> None:
+        """Write fp as its config's trusted baseline (`trusted 1`); only `force` replaces one."""
         path = self._trusted_path(fp.config_digest)
-        if path.exists():
+        if path.exists() and not force:
             raise TrustedAlreadyExists(
                 f"trusted fingerprint already stored for digest {fp.config_digest:016x}")
-        self._write(path, fp, durable=True)
+        self._write(path, replace(fp, trusted=True), durable=True)
 
     def save_epoch(self, fp: NetworkFingerprint, epoch: int) -> None:
         # plain string paths, as in delete_epoch
@@ -326,9 +328,3 @@ class FingerprintStore:
             os.unlink(os.path.join(self.directory, self._epoch_name(digest, epoch)))
         except FileNotFoundError:
             pass
-
-    def delete_trusted(self, digest: int) -> None:
-        path = self._trusted_path(digest)
-        if not path.exists():
-            raise NotFound(str(path))
-        path.unlink()

@@ -18,8 +18,6 @@ MILLISECOND = 1_000
 class MonotonicClock:
     """Real clock backed by time.monotonic_ns, microsecond resolution."""
 
-    is_virtual = False
-
     def now(self) -> int:
         return time.monotonic_ns() // 1_000
 
@@ -30,8 +28,6 @@ class MonotonicClock:
 
 class VirtualClock:
     """Discrete simulation clock. sleep() is an instantaneous advance."""
-
-    is_virtual = True
 
     def __init__(self, start: int = 0):
         self._now = start

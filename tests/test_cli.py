@@ -6,7 +6,9 @@ from unittest.mock import ANY
 import pytest
 
 from edgemap import cli
+from edgemap.errors import TransportDown
 from edgemap.osnet import OsNetwork
+from edgemap.simnet import SimNetwork
 from edgemap.store import dumps_fingerprint, loads_fingerprint
 from edgemap.transport import ProbeReply
 
@@ -64,10 +66,31 @@ class TestBaselineAndMonitor:
         assert run(["baseline"] + common(ws))[0] == 2
 
     def test_rebaseline_replaces(self, ws):
+        (ws / "added.scn").write_text(BASE_SCN + "host 10.0.0.3 port=7\n")
         assert run(["baseline"] + common(ws))[0] == 0
-        code, text = run(["rebaseline", "--force"] + common(ws))
+        code, text = run(["rebaseline", "--force"] + common(ws, "added.scn"))
         assert code == 0
-        assert "discarded" in text
+        assert text.splitlines()[0] == "previous trusted baseline discarded"
+        assert "baseline hosts=3 open_ports=2" in text
+        (path,) = (ws / "state").glob("*.fp")
+        fp = loads_fingerprint(path.read_bytes())
+        assert fp.trusted and len(fp.hosts) == 3
+
+    def test_a_failed_rebaseline_keeps_the_old_baseline(self, ws, monkeypatch):
+        _baseline(ws)
+        (path,) = (ws / "state").glob("*.trusted.fp")
+        before = path.read_bytes()
+        assert run(["rebaseline", "--force"] + common(ws, "missing.scn")) == (6, "")
+        assert path.read_bytes() == before
+        assert run(["monitor", "--epochs", "1"] + common(ws))[0] == 0
+
+        def gone(self, target, timeout):
+            raise TransportDown("no ICMP socket available")
+
+        monkeypatch.setattr(SimNetwork, "icmp_ping", gone)
+        assert run(["rebaseline", "--force"] + common(ws)) == (3, "")
+        assert path.read_bytes() == before
+        assert not list((ws / "state").glob("*.tmp"))
 
     def test_rebaseline_without_force_is_usage_error(self, ws):
         with pytest.raises(SystemExit) as excinfo:
@@ -114,6 +137,16 @@ class TestScan:
     def test_missing_range_is_exit_2(self, ws):
         code, _ = run(["scan", "--backend", f"sim:{ws / 'net.scn'}"])
         assert code == 2
+
+    def test_a_config_key_given_twice_is_refused(self, ws, capsys):
+        # the second value would silently win
+        conf = ws / "twice.conf"
+        conf.write_text(CONF + "port_range = 1-4\n")
+        code, text = run(["scan", "--config", str(conf), "--backend", f"sim:{ws / 'net.scn'}"])
+        assert (code, text) == (2, "")
+        line = len(CONF.splitlines()) + 1
+        assert capsys.readouterr().err == \
+            f"error: {conf}:{line}: config key 'port_range' given twice\n"
 
     def test_unknown_config_key_is_exit_2(self, ws):
         (ws / "bad.conf").write_text("warp_speed = 9\n")
@@ -328,6 +361,9 @@ EXIT_CODE_ROWS = [
      _write("bad.scn", BASE_SCN + "at 30s set-latency 10.0.0.1 inf\n"),
      lambda ws: _simulate(ws, "bad.scn"), 6),
     ("scan", "non-boolean config value", _write("bad.conf", CONF + "syn_scan = ture\n"),
+     lambda ws: ["scan", "--config", str(ws / "bad.conf"),
+                 "--backend", f"sim:{ws / 'net.scn'}"], 2),
+    ("scan", "config key given twice", _write("bad.conf", CONF + "port_range = 1-4\n"),
      lambda ws: ["scan", "--config", str(ws / "bad.conf"),
                  "--backend", f"sim:{ws / 'net.scn'}"], 2),
     ("scan", "port range with no upper end", None,

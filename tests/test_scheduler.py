@@ -1,7 +1,11 @@
 import ipaddress
 import math
 import os
+import threading
+import time
 import tracemalloc
+import types
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +15,7 @@ from edgemap.rng import Prng
 from edgemap.scheduler import KEEP_EPOCHS, make_schedule, run_monitor
 from edgemap.simnet import SimHostSpec, SimNetwork
 from edgemap.sink import EventSink, parse_line
+from edgemap.timebase import MonotonicClock
 from edgemap.store import FingerprintStore, loads_fingerprint
 from edgemap.model import config_digest
 from conftest import small_config
@@ -191,6 +196,56 @@ class TestRunMonitor:
         cfg, net, store, sink, _ = make_parts(tmp_path)
         assert run_monitor(cfg, net, store, sink, stop=lambda: True) == 0
         assert store.written == []
+
+    def test_a_stop_in_the_baseline_sweep_trusts_nothing(self, tmp_path):
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        calls = []
+
+        def stop():  # the startup wait reads it once, then each probe
+            calls.append(net.clock.now())
+            return len(calls) > 5
+
+        assert run_monitor(cfg, net, store, sink, stop=stop) == 0
+        assert 0 < net.clock.now() < 30 * SEC  # mid-way through the sweep
+        assert store.written == []
+        assert not list((tmp_path / "state").glob("*.fp"))
+
+    @pytest.mark.parametrize("polls", [1, 2, 57])
+    def test_a_stop_in_the_rescan_wait_ends_the_loop(self, tmp_path, polls):
+        # the stop turns true on its polls-th read in the wait before epoch 2
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        reads = []
+
+        def stop():
+            if any("epoch" in name for name in store.written):
+                reads.append(net.clock.now())
+            return len(reads) >= polls
+
+        assert run_monitor(cfg, net, store, sink, stop=stop, max_epochs=5) == 1
+        assert stored_epochs(tmp_path) == [1]
+        # read every 100 ms of scan clock, and not slept past the stop
+        assert reads == [reads[0] + k * 100_000 for k in range(polls)]
+        assert net.clock.now() == reads[-1]
+
+    def test_a_stop_ends_a_live_wait_within_a_poll(self, tmp_path):
+        # the real clock's wait: a 10 s rescan interval, stopped after 50 ms
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        run_monitor(cfg, net, store, sink, max_epochs=0)  # the baseline
+        live = types.SimpleNamespace(clock=MonotonicClock())  # only a clock: no probe may run
+        stopped = threading.Event()
+        timer = threading.Timer(0.05, stopped.set)
+        started = time.monotonic()
+        timer.start()
+        try:
+            assert run_monitor(replace(cfg, rescan_interval=10 * SEC), live, store,
+                               sink, stop=stopped.is_set, max_epochs=1) == 0
+        finally:
+            timer.cancel()
+            timer.join(timeout=1)
+        assert not timer.is_alive()
+        assert stopped.is_set()
+        assert time.monotonic() - started < 0.5
+        assert stored_epochs(tmp_path) == []
 
     def test_sweep_failure_becomes_operational_event(self, tmp_path):
         cfg, net, store, sink, lines = make_parts(tmp_path)

@@ -399,9 +399,13 @@ class TestFingerprintStore:
             store.save_trusted(fp)
         assert len(list(tmp_path.iterdir())) == 1
 
-    def test_untrusted_fingerprint_rejected_as_baseline(self, tmp_path):
-        with pytest.raises(ValueError):
-            FingerprintStore(tmp_path).save_trusted(sample_fp(trusted=False))
+    def test_the_store_marks_the_baseline_trusted(self, tmp_path):
+        store = FingerprintStore(tmp_path)
+        fp = sample_fp(trusted=False)
+        store.save_trusted(fp)
+        path = tmp_path / f"{fp.config_digest:016x}.trusted.fp"
+        assert path.read_bytes() == dumps_fingerprint(dataclasses.replace(fp, trusted=True))
+        assert store.load_trusted(fp.config_digest) == dataclasses.replace(fp, trusted=True)
 
     def test_epoch_history_and_latest(self, tmp_path):
         store = FingerprintStore(tmp_path)
@@ -428,16 +432,35 @@ class TestFingerprintStore:
         store = FingerprintStore(tmp_path)
         with pytest.raises(NotFound):
             store.load_trusted(1)
-        with pytest.raises(NotFound):
-            store.delete_trusted(1)
 
-    def test_delete_trusted_enables_rebaseline(self, tmp_path):
+    def test_only_a_forced_save_replaces_the_baseline(self, tmp_path):
         store = FingerprintStore(tmp_path)
-        fp = sample_fp(trusted=True)
-        store.save_trusted(fp)
-        store.delete_trusted(fp.config_digest)
-        store.save_trusted(fp)  # no TrustedAlreadyExists after delete
-        assert store.has_trusted(fp.config_digest)
+        old = sample_fp(trusted=True)
+        new = dataclasses.replace(old, finished_at=9999)
+        store.save_trusted(old)
+        with pytest.raises(TrustedAlreadyExists):
+            store.save_trusted(new)
+        assert store.load_trusted(old.config_digest) == old
+        store.save_trusted(new, force=True)
+        assert store.load_trusted(old.config_digest) == new
+        assert [path.name for path in tmp_path.iterdir()] == [
+            f"{old.config_digest:016x}.trusted.fp"]
+
+    def test_a_failed_replacement_leaves_the_old_baseline(self, tmp_path, monkeypatch):
+        # the new record is written beside the old one and renamed over it
+        store = FingerprintStore(tmp_path)
+        old = sample_fp(trusted=True)
+        store.save_trusted(old)
+        path = tmp_path / f"{old.config_digest:016x}.trusted.fp"
+        before = path.read_bytes()
+
+        def cut(src, dst):
+            raise OSError("power cut")
+
+        monkeypatch.setattr(os, "replace", cut)
+        with pytest.raises(OSError):
+            store.save_trusted(dataclasses.replace(old, finished_at=9999), force=True)
+        assert path.read_bytes() == before
 
     def test_corrupt_file_on_disk_raises(self, tmp_path):
         store = FingerprintStore(tmp_path)
