@@ -243,7 +243,7 @@ def cmd_diff(args, out) -> int:
             print(format_intrusion("diff", 0, 0, event), file=out)
         else:
             port = f" port {event.port}" if event.port is not None else ""
-            print(f"{event.kind.wire_name} {event.address}{port} "
+            print(f"{event.kind.value} {event.address}{port} "
                   f"({event.baseline_value} -> {event.observed_value})", file=out)
     return EXIT_EVENTS if events else EXIT_OK
 

@@ -20,7 +20,7 @@ def _describe_banner(banner) -> str:
     return repr(text)
 
 
-def _port_events(addr, base, cur, epoch: int) -> list:
+def _port_events(addr, base, cur) -> list:
     """PortOpened, PortClosed and BannerChanged events of one host.
 
     Only ports probed by both scans count.  The ports whose codes differ
@@ -41,7 +41,7 @@ def _port_events(addr, base, cur, epoch: int) -> list:
             events.append(IntrusionEvent(
                 kind=EventKind.PORT_OPENED if now == OPEN_CODE else EventKind.PORT_CLOSED,
                 address=addr, port=port, baseline_value=PORT_STATES[was]._value_,
-                observed_value=PORT_STATES[now]._value_, scan_epoch=epoch))
+                observed_value=PORT_STATES[now]._value_))
     for port in base.banners.keys() | cur.banners.keys():
         before = base.banners.get(port)
         after = cur.banners.get(port)
@@ -50,20 +50,21 @@ def _port_events(addr, base, cur, epoch: int) -> list:
             events.append(IntrusionEvent(
                 kind=EventKind.BANNER_CHANGED, address=addr, port=port,
                 baseline_value=_describe_banner(before),
-                observed_value=_describe_banner(after), scan_epoch=epoch))
+                observed_value=_describe_banner(after)))
     return events
 
 
-def diff(baseline: NetworkFingerprint, current: NetworkFingerprint,
-         config: ScanConfig, epoch: int = 0):
+def diff(baseline: NetworkFingerprint, current: NetworkFingerprint, config: ScanConfig):
     """Ordered list of intrusion events separating current from baseline.
 
-    Host presence means the sweep saw the device at all (Up or SilentUp);
-    Down hosts never enter a fingerprint.  Port transitions are judged
-    only where both scans probed the port, and only transitions in or out
-    of Open count.  The latency rule needs both clauses: current median
+    One pass over the addresses: one that only one side saw (Up or
+    SilentUp; Down hosts never enter a fingerprint) is HostAdded or
+    HostRemoved, one that both saw gets the port and latency rules.  Port
+    transitions count only where both scans probed the port, and only in
+    or out of Open.  The latency rule needs both clauses: current median
     above factor * baseline median AND above baseline by the absolute
-    floor, so sub-millisecond jitter cannot flap the alarm.
+    floor, so sub-millisecond jitter cannot flap the alarm.  The events
+    carry no epoch; the caller that emits them supplies it.
     """
     if baseline.config_digest != current.config_digest:
         raise IncomparableFingerprints(
@@ -71,35 +72,30 @@ def diff(baseline: NetworkFingerprint, current: NetworkFingerprint,
             f"vs {current.config_digest:016x}")
 
     events = []
-
-    for addr in set(current.hosts) - set(baseline.hosts):
-        events.append(IntrusionEvent(
-            kind=EventKind.HOST_ADDED, address=addr,
-            baseline_value="absent", observed_value=current.hosts[addr].alive.value,
-            scan_epoch=epoch))
-
-    for addr in set(baseline.hosts) - set(current.hosts):
-        events.append(IntrusionEvent(
-            kind=EventKind.HOST_REMOVED, address=addr,
-            baseline_value=baseline.hosts[addr].alive.value, observed_value="absent",
-            scan_epoch=epoch))
-
-    for addr in set(baseline.hosts) & set(current.hosts):
-        base = baseline.hosts[addr]
-        cur = current.hosts[addr]
-        if base.ports != cur.ports or base.banners != cur.banners:
-            events += _port_events(addr, base, cur, epoch)
-
-        if base.alive is Alive.UP and cur.alive is Alive.UP:
-            base_median = statistics.median_low(base.rtt_samples)
-            cur_median = statistics.median_low(cur.rtt_samples)
-            if (cur_median > base_median * config.rtt_anomaly_factor
-                    and cur_median - base_median > config.rtt_anomaly_floor):
-                events.append(IntrusionEvent(
-                    kind=EventKind.LATENCY_ANOMALY, address=addr,
-                    baseline_value=f"median rtt {format_duration(base_median)}",
-                    observed_value=f"median rtt {format_duration(cur_median)}",
-                    scan_epoch=epoch))
+    # sets built from the dicts reuse the keys' stored hashes
+    for addr in set(baseline.hosts) | set(current.hosts):
+        base = baseline.hosts.get(addr)
+        cur = current.hosts.get(addr)
+        if base is None:
+            events.append(IntrusionEvent(
+                kind=EventKind.HOST_ADDED, address=addr,
+                baseline_value="absent", observed_value=cur.alive.value))
+        elif cur is None:
+            events.append(IntrusionEvent(
+                kind=EventKind.HOST_REMOVED, address=addr,
+                baseline_value=base.alive.value, observed_value="absent"))
+        else:
+            if base.ports != cur.ports or base.banners != cur.banners:
+                events += _port_events(addr, base, cur)
+            if base.alive is Alive.UP and cur.alive is Alive.UP:
+                base_median = statistics.median_low(base.rtt_samples)
+                cur_median = statistics.median_low(cur.rtt_samples)
+                if (cur_median > base_median * config.rtt_anomaly_factor
+                        and cur_median - base_median > config.rtt_anomaly_floor):
+                    events.append(IntrusionEvent(
+                        kind=EventKind.LATENCY_ANOMALY, address=addr,
+                        baseline_value=f"median rtt {format_duration(base_median)}",
+                        observed_value=f"median rtt {format_duration(cur_median)}"))
 
     events.sort(key=IntrusionEvent.sort_key)
     return events

@@ -256,48 +256,39 @@ class NetworkFingerprint:
 
 
 class EventKind(Enum):
-    # numeric values define the canonical sort order within one address
-    HOST_ADDED = 0
-    HOST_REMOVED = 1
-    PORT_OPENED = 2
-    PORT_CLOSED = 3
-    BANNER_CHANGED = 4
-    LATENCY_ANOMALY = 5
+    """A deviation's kind.  The value is its wire name, and the declaration
+    order is the canonical order of the kinds raised at one address."""
 
-    @property
-    def wire_name(self) -> str:
-        return _KIND_WIRE[self]
+    HOST_ADDED = "HostAdded"
+    HOST_REMOVED = "HostRemoved"
+    PORT_OPENED = "PortOpened"
+    PORT_CLOSED = "PortClosed"
+    BANNER_CHANGED = "BannerChanged"
+    LATENCY_ANOMALY = "LatencyAnomaly"
 
 
-_KIND_WIRE = {
-    EventKind.HOST_ADDED: "HostAdded",
-    EventKind.HOST_REMOVED: "HostRemoved",
-    EventKind.PORT_OPENED: "PortOpened",
-    EventKind.PORT_CLOSED: "PortClosed",
-    EventKind.BANNER_CHANGED: "BannerChanged",
-    EventKind.LATENCY_ANOMALY: "LatencyAnomaly",
-}
+_KIND_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
 
 _PORT_KINDS = {EventKind.PORT_OPENED, EventKind.PORT_CLOSED, EventKind.BANNER_CHANGED}
 
 
 @dataclass(frozen=True)
 class IntrusionEvent:
-    """One classified deviation between the baseline and a current scan."""
+    """One classified deviation between the baseline and a current scan; a
+    plain value, as the loop that emits it supplies the epoch."""
 
     kind: EventKind
     address: IPv4
     port: Optional[int] = None
     baseline_value: str = ""
     observed_value: str = ""
-    scan_epoch: int = 0
 
     def __post_init__(self):
         if self.kind in _PORT_KINDS:
             if self.port is None:
-                raise ValueError(f"{self.kind.wire_name} requires a port")
+                raise ValueError(f"{self.kind.value} requires a port")
         elif self.port is not None:
-            raise ValueError(f"{self.kind.wire_name} must not carry a port")
+            raise ValueError(f"{self.kind.value} must not carry a port")
 
     def sort_key(self):
-        return (int(self.address), self.kind.value, self.port if self.port is not None else -1)
+        return (int(self.address), _KIND_RANK[self.kind], -1 if self.port is None else self.port)

@@ -64,32 +64,43 @@ class OsNetwork(ProbeTransport):
                              ident, self._icmp_seq) + payload
         t0 = self.clock.now()
         self.counters.record("icmp_request", t0)
+        address = str(target)
         with self._icmp_socket() as sock:
             sock.settimeout(timeout / SECOND)
             try:
-                sock.sendto(packet, (str(target), 0))
-                while True:
-                    data, _peer = sock.recvfrom(2048)
+                sock.sendto(packet, (address, 0))
+                # other packets may arrive first: wait only for what is
+                # left of the window, never a whole timeout again
+                while (left := t0 + timeout - self.clock.now()) > 0:
+                    sock.settimeout(left / SECOND)
+                    data, peer = sock.recvfrom(2048)
                     now = self.clock.now()
-                    if now - t0 > timeout:
-                        return ProbeReply(False)
-                    if self._echo_reply_matches(data, self._icmp_seq):
+                    if (now - t0 <= timeout and peer[0] == address
+                            and self._echo_reply_matches(data, self._icmp_seq, ident)):
                         self.counters.record("icmp_reply", now)
                         return ProbeReply(True, now - t0)
+                return ProbeReply(False)
             except OSError as exc:  # socket.timeout included
                 if exc.errno in _TRANSPORT_ERRNOS:
                     raise TransportDown(f"ICMP echo to {target}: {exc}") from exc
                 return ProbeReply(False)
 
     @staticmethod
-    def _echo_reply_matches(data: bytes, seq: int) -> bool:
-        # raw sockets deliver the IP header, dgram sockets do not
-        if len(data) >= 20 and (data[0] >> 4) == 4 and data[9] == 1:
+    def _echo_reply_matches(data: bytes, seq: int, ident: int) -> bool:
+        """Whether `data` is the echo reply to our request `seq`.
+
+        A raw socket delivers the IP header, and every ICMP packet of the
+        node, so its reply must also carry our identifier.  A ping socket
+        delivers no header and only its own replies, and it rewrites the
+        identifier, so there it is not compared.
+        """
+        raw = len(data) >= 20 and (data[0] >> 4) == 4 and data[9] == 1
+        if raw:
             data = data[(data[0] & 0x0F) * 4:]
         if len(data) < 8:
             return False
-        icmp_type, _code, _cksum, _ident, got_seq = struct.unpack(">BBHHH", data[:8])
-        return icmp_type == 0 and got_seq == seq
+        icmp_type, _code, _cksum, got_ident, got_seq = struct.unpack(">BBHHH", data[:8])
+        return icmp_type == 0 and got_seq == seq and (not raw or got_ident == ident)
 
     def tcp_connect(self, target: IPv4, port: int, timeout: int,
                     banner_grab: bool = True, banner_max: int = 128) -> PortProbe:

@@ -116,8 +116,8 @@ def run_monitor(config: ScanConfig, transport, store, sink,
             except Exception as exc:  # a stop request is no Exception
                 warn(f"sweep failed: {exc}")
             else:
-                for event in diff(trusted, fp, config, epoch=epoch):
-                    sink.emit_intrusion(event, ts=clock.now())
+                for event in diff(trusted, fp, config):
+                    sink.emit_intrusion(event, epoch=epoch, ts=clock.now())
                 try:
                     store.save_epoch(fp, epoch)
                 except OSError as exc:

@@ -41,7 +41,7 @@ def format_line(node_id: str, epoch: int, ts: int, fields) -> str:
 
 
 def format_intrusion(node_id: str, epoch: int, ts: int, event: IntrusionEvent) -> str:
-    fields = [("kind", event.kind.wire_name), ("addr", str(event.address))]
+    fields = [("kind", event.kind.value), ("addr", str(event.address))]
     if event.port is not None:
         fields.append(("port", event.port))
     fields += [("baseline", event.baseline_value), ("observed", event.observed_value)]
@@ -153,9 +153,10 @@ class EventSink:
             self.reports = [latest.pop(output.name) for output in self.outputs
                             if output.name in latest]
 
-    def emit_intrusion(self, event: IntrusionEvent, ts: int) -> None:
+    def emit_intrusion(self, event: IntrusionEvent, epoch: int, ts: int) -> None:
+        """Deliver one event line, stamped with the epoch and scan-clock time given."""
         self.kinds.add(event.kind)
-        self._deliver(format_intrusion(self.node_id, event.scan_epoch, ts, event))
+        self._deliver(format_intrusion(self.node_id, epoch, ts, event))
 
     def emit_operational(self, message: str, epoch: int, ts: int,
                          severity: Severity = Severity.INFO) -> None:

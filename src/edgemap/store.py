@@ -46,6 +46,7 @@ loads to the same fingerprint as its v2 record.
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import os
 import re
@@ -59,9 +60,6 @@ from .model import PORT_CODES, Alive, HostRecord, NetworkFingerprint, PortTable
 
 HEADER = "edgemap-fingerprint v2"
 
-_ALIVE_WIRE = {Alive.UP: "up", Alive.SILENT_UP: "silent"}
-# the loader reads the record as bytes
-_ALIVE_BY_WIRE = {v.encode(): k for k, v in _ALIVE_WIRE.items()}
 # a port state's name by its PortTable code, and the code by the name
 _STATE_WIRE = (None, *PORT_CODES)
 _CODE_BY_WIRE = {name.encode(): code for name, code in PORT_CODES.items()}
@@ -75,7 +73,7 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
                     f"started {fp.started_at}\nfinished {fp.finished_at}\n".encode("ascii"))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        lines = [f"host {addr} {_ALIVE_WIRE[rec.alive]}"]
+        lines = [f"host {addr} {rec.alive.value}"]
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
         first, codes = rec.ports.first, rec.ports.codes
@@ -212,7 +210,7 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
             pos = banner.end()
         rtt = tuple(map(int, host[3].split())) if host[3] else ()
         try:
-            hosts[addr] = HostRecord(address=addr, alive=_ALIVE_BY_WIRE[host[2]],
+            hosts[addr] = HostRecord(address=addr, alive=Alive(host[2].decode()),
                                      rtt_samples=rtt, ports=PortTable(first, codes),
                                      banners=banners)
         except ValueError as exc:
@@ -258,15 +256,21 @@ class FingerprintStore:
 
         A durable write also fsyncs the temp file before the rename and the
         directory after it, so a power cut leaves the old record or the new
-        one, never an empty file.
+        one, never an empty file.  A failed write removes its temp file.
         """
         tmp = os.path.splitext(path)[0] + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(dumps_fingerprint(fp))
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(dumps_fingerprint(fp))
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            # epoch temp names differ per epoch, and nothing else deletes them
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         if durable:
             fd = os.open(self.directory, os.O_RDONLY)
             try:

@@ -46,18 +46,23 @@ class VirtualClock:
         self._now = when
 
 
-_DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(us|ms|s|min)\s*$")
+_DURATION_RE = re.compile(r"^\s*(\d+)(?:\.(\d+))?\s*(us|ms|s|min)\s*$")
 
 _UNIT_US = {"us": 1, "ms": MILLISECOND, "s": SECOND, "min": 60 * SECOND}
 
 
 def parse_duration(text: str) -> int:
-    """Parse '100ms', '1s', '500us' or '5min' into microseconds."""
+    """Parse '100ms', '1s', '500us' or '5min' into microseconds.
+
+    Exact to the microsecond; a fraction of a microsecond is truncated.
+    """
     m = _DURATION_RE.match(text)
     if not m:
         raise ValueError(f"invalid duration {text!r} (expected e.g. '100ms', '1s')")
-    value, unit = m.groups()
-    return int(float(value) * _UNIT_US[unit])
+    whole, fraction, unit = m.groups(default="0")
+    scale = _UNIT_US[unit]
+    # integer arithmetic: through a float, '1.001s' would be 1,000,999 us
+    return int(whole) * scale + int(fraction) * scale // 10 ** len(fraction)
 
 
 def format_duration(us: int) -> str:

@@ -52,7 +52,7 @@ def brute_force_diff(baseline, current, factor, floor):
 
 
 def event_tuples(events):
-    return {(int(e.address), e.kind.wire_name, e.port) for e in events}
+    return {(int(e.address), e.kind.value, e.port) for e in events}
 
 
 def median_low_oracle(samples):

@@ -260,7 +260,7 @@ class TestIntrusionEvent:
             IntrusionEvent(kind=EventKind.HOST_ADDED, address=A("10.0.0.2")),
         ]
         ordered = sorted(evs, key=IntrusionEvent.sort_key)
-        assert [(str(e.address), e.kind.wire_name, e.port) for e in ordered] == [
+        assert [(str(e.address), e.kind.value, e.port) for e in ordered] == [
             ("10.0.0.1", "LatencyAnomaly", None),
             ("10.0.0.2", "HostAdded", None),
             ("10.0.0.2", "PortOpened", 22),

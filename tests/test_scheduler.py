@@ -1,3 +1,4 @@
+import errno
 import ipaddress
 import math
 import os
@@ -246,6 +247,50 @@ class TestRunMonitor:
         assert stopped.is_set()
         assert time.monotonic() - started < 0.5
         assert stored_epochs(tmp_path) == []
+
+    def test_a_stop_in_a_port_scan_stores_nothing(self, tmp_path):
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        run_monitor(cfg, net, store, sink, max_epochs=0)  # the baseline
+        probes = []
+        connect = net.tcp_connect
+
+        def counted(*args, **kwargs):
+            probes.append(args[1])
+            return connect(*args, **kwargs)
+
+        net.tcp_connect = counted
+        assert run_monitor(cfg, net, store, sink, stop=lambda: len(probes) == 3,
+                           max_epochs=1) == 0
+        assert len(probes) == 3  # stopped before the 4th of a host's 16 ports
+        assert stored_epochs(tmp_path) == []
+
+    def test_a_failed_store_write_warns_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cfg, net, store, sink, lines = make_parts(tmp_path)
+        run_monitor(cfg, net, store, sink, max_epochs=0)  # the baseline
+        trusted = tmp_path / "state" / f"{config_digest(cfg):016x}.trusted.fp"
+        before = trusted.read_bytes()
+
+        def cut(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", cut)
+        assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
+        warned = [parse_line(line) for line in lines if "store write failed" in line]
+        assert [fields["epoch"] for fields in warned] == ["1", "2"]
+        assert [path.name for path in (tmp_path / "state").iterdir()] == [trusted.name]
+        assert trusted.read_bytes() == before
+
+    def test_a_failed_store_delete_warns_and_the_loop_goes_on(self, tmp_path, monkeypatch):
+        cfg, net, store, sink, lines = make_parts(tmp_path)
+
+        def refuse(path):
+            raise PermissionError(errno.EACCES, "read-only", path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
+        warned = [parse_line(line) for line in lines if "store delete failed" in line]
+        assert [fields["epoch"] for fields in warned] == ["1", "2"]
+        assert stored_epochs(tmp_path) == [1, 2]
 
     def test_sweep_failure_becomes_operational_event(self, tmp_path):
         cfg, net, store, sink, lines = make_parts(tmp_path)

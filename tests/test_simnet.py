@@ -157,6 +157,20 @@ class TestPacketCounters:
         assert c.second_bytes(3, ("banner_data",)) == 70_000 * 166
         assert c.second_count(4) == 1 and c.second_bytes(4) == 60
 
+    def test_a_count_past_two_bytes_widens_the_cells(self):
+        # no banner bytes: the 65,536th packet of one class in one second
+        # is what overflows a 2-byte cell
+        c = PacketCounters()
+        c.record("arp_request", 2 * SEC)
+        for _ in range(65_536):
+            c.record("tcp_syn", 3 * SEC)
+        c.record("tcp_syn", 4 * SEC)
+        c.record("tcp_rst", 4 * SEC)
+        assert c.counts["tcp_syn"] == 65_537 and c.counts["arp_request"] == 1
+        assert list(c.per_second["tcp_syn"]) == [0, 65_536, 1]
+        assert c.peak(TCP_CLASSES) == 65_536 and c.peak(DISCOVERY_CLASSES) == 1
+        assert c.second_count(4) == 2 and c.second_bytes(4) == 2 * TCP_CONTROL_BYTES
+
     # (class, gap after the previous packet, banner payload length); a
     # payload above 32,767 bytes overflows a 2-byte cell in two packets
     streams = st.lists(st.tuples(st.sampled_from(PACKET_CLASSES),

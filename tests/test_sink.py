@@ -16,7 +16,7 @@ A = ipaddress.IPv4Address
 
 def ev(kind=EventKind.PORT_OPENED, port=23, **kw):
     defaults = dict(address=A("10.0.0.2"), baseline_value="closed",
-                    observed_value="open", scan_epoch=3)
+                    observed_value="open")
     defaults.update(kw)
     return IntrusionEvent(kind=kind, port=port, **defaults)
 
@@ -37,9 +37,9 @@ class TestLineFormat:
             port = 23 if kind in (EventKind.PORT_OPENED, EventKind.PORT_CLOSED,
                                   EventKind.BANNER_CHANGED) else None
             event = ev(kind=kind, port=port)
-            line = format_intrusion("n", event.scan_epoch, 99, event)
+            line = format_intrusion("n", 3, 99, event)
             expected = [("node", "n"), ("epoch", "3"), ("ts", "99"),
-                        ("kind", kind.wire_name), ("addr", "10.0.0.2")]
+                        ("kind", kind.value), ("addr", "10.0.0.2")]
             expected += [("port", "23")] if port is not None else []
             expected += [("baseline", "closed"), ("observed", "open")]
             assert list(parse_line(line).items()) == expected
@@ -130,7 +130,7 @@ class TestEventSink:
 
     def test_emit_intrusion_keeps_no_report_when_delivered(self):
         sink, captured = self.make()
-        sink.emit_intrusion(ev(), ts=7)
+        sink.emit_intrusion(ev(), epoch=3, ts=7)
         assert captured == [format_intrusion("n", 3, 7, ev())]
         assert sink.reports == []
 
@@ -143,7 +143,7 @@ class TestEventSink:
 
         sink, captured = self.make()
         sink.outputs = (Broken(),) + sink.outputs
-        sink.emit_intrusion(ev(), ts=7)
+        sink.emit_intrusion(ev(), epoch=3, ts=7)
         assert len(captured) == 1
         # the sink keeps the failures only
         assert sink.reports == [DeliveryReport("broken", False, "wire cut")]
@@ -162,9 +162,9 @@ class TestEventSink:
         sink, captured = self.make()
         sink.outputs = (late, full_disk) + sink.outputs
         for _ in range(9_999):
-            sink.emit_intrusion(ev(), ts=7)
+            sink.emit_intrusion(ev(), epoch=3, ts=7)
         assert sink.reports == [DeliveryReport("full-disk", False, "full-disk failure 9999")]
-        sink.emit_intrusion(ev(), ts=7)
+        sink.emit_intrusion(ev(), epoch=3, ts=7)
         assert len(captured) == 10_000
         # one report per failing output, in output order, holding its last error
         assert sink.reports == [DeliveryReport("late", False, "late failure 10000"),
@@ -174,7 +174,7 @@ class TestEventSink:
         sink, _ = self.make()
         assert sink.kinds == set()
         for _ in range(3):
-            sink.emit_intrusion(ev(), ts=0)
-            sink.emit_intrusion(ev(kind=EventKind.HOST_ADDED, port=None), ts=0)
+            sink.emit_intrusion(ev(), epoch=3, ts=0)
+            sink.emit_intrusion(ev(kind=EventKind.HOST_ADDED, port=None), epoch=3, ts=0)
         sink.emit_operational("store write failed", epoch=1, ts=0)
         assert sink.kinds == {EventKind.PORT_OPENED, EventKind.HOST_ADDED}

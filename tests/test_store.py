@@ -447,20 +447,37 @@ class TestFingerprintStore:
             f"{old.config_digest:016x}.trusted.fp"]
 
     def test_a_failed_replacement_leaves_the_old_baseline(self, tmp_path, monkeypatch):
-        # the new record is written beside the old one and renamed over it
+        # the new record is written beside the old one and renamed over it;
+        # a failed write removes that temp file again
         store = FingerprintStore(tmp_path)
         old = sample_fp(trusted=True)
         store.save_trusted(old)
         path = tmp_path / f"{old.config_digest:016x}.trusted.fp"
         before = path.read_bytes()
 
-        def cut(src, dst):
+        def cut(*args):
             raise OSError("power cut")
 
         monkeypatch.setattr(os, "replace", cut)
         with pytest.raises(OSError):
             store.save_trusted(dataclasses.replace(old, finished_at=9999), force=True)
+        with pytest.raises(OSError):
+            store.save_epoch(old, 1)
+        monkeypatch.setattr(os, "fsync", cut)  # now the write fails before the rename
+        with pytest.raises(OSError):
+            store.save_trusted(dataclasses.replace(old, finished_at=9999), force=True)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_record_under_another_digest_raises(self, tmp_path):
+        store = FingerprintStore(tmp_path)
+        fp = sample_fp(trusted=True)
+        store.save_trusted(fp)
+        other = fp.config_digest ^ 1
+        os.rename(tmp_path / f"{fp.config_digest:016x}.trusted.fp",
+                  tmp_path / f"{other:016x}.trusted.fp")
+        with pytest.raises(CorruptRecord, match="stored digest does not match filename"):
+            store.load_trusted(other)
 
     def test_corrupt_file_on_disk_raises(self, tmp_path):
         store = FingerprintStore(tmp_path)

@@ -12,9 +12,23 @@ from edgemap.timebase import (MonotonicClock, VirtualClock, format_duration,
     ("0s", 0),
     ("1.5s", 1_500_000),
     (" 250 ms ", 250_000),
+    ("1.001s", 1_001_000),
+    ("1.003s", 1_003_000),
+    ("2.999min", 179_940_000),
+    ("0.001ms", 1),
+    ("1.5us", 1),
+    ("0.0019ms", 1),
 ])
 def test_parse_duration(text, expected):
     assert parse_duration(text) == expected
+
+
+@pytest.mark.parametrize("unit", ["ms", "s", "min"])
+def test_parse_duration_is_exact_to_the_microsecond(unit):
+    scale = {"ms": 1_000, "s": 1_000_000, "min": 60_000_000}[unit]
+    for thousandths in range(1, 3_000):
+        text = f"{thousandths // 1000}.{thousandths % 1000:03d}{unit}"
+        assert parse_duration(text) == thousandths * scale // 1000, text
 
 
 @pytest.mark.parametrize("text", ["", "100", "ms", "-1s", "1h", "1 2s"])

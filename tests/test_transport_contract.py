@@ -10,6 +10,7 @@ import errno
 import ipaddress
 import os
 import socket
+import struct
 import threading
 
 import pytest
@@ -18,8 +19,10 @@ from edgemap.errors import CapabilityUnsupported, TransportDown
 from edgemap.model import PortState
 from edgemap.osnet import OsNetwork
 from edgemap.simnet import SimHostSpec, SimNetwork
+from edgemap.timebase import VirtualClock
 
 SEC = 1_000_000
+MS = 1_000
 BANNER = b"BANNER-7 test service\r\n"
 
 
@@ -237,3 +240,81 @@ class TestOsErrors:
         net = self.network(monkeypatch, error)
         assert not net.icmp_ping(self.TARGET, SEC).replied
         assert net.tcp_connect(self.TARGET, 502, SEC).state is PortState.FILTERED
+
+
+IP_HEADER = bytes([0x45, 0, 0, 48, 0, 0, 0, 0, 64, 1, 0, 0, 192, 0, 2, 1, 192, 0, 2, 9])
+
+
+def echo_reply(ident, seq, header=IP_HEADER):
+    """An ICMP echo reply, as a raw socket (with `header`) or a ping socket reads it."""
+    return header + struct.pack(">BBHHH", 0, 0, 0, ident, seq) + b"payload"
+
+
+class ScriptedIcmpSocket:
+    """Stands in for the ICMP socket: each recvfrom takes the next scripted
+    (delay, packet, source) step, moving the fake clock on by the delay, or
+    times out when the delay is past the socket's timeout."""
+
+    def __init__(self, clock, steps):
+        self.clock, self.steps, self.timeouts = clock, list(steps), []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def settimeout(self, seconds):
+        self.timeouts.append(seconds)
+
+    def sendto(self, data, address):
+        self.request = struct.unpack(">BBHHH", data[:8])
+
+    def recvfrom(self, size):
+        delay, packet, source = self.steps.pop(0)
+        if delay > self.timeouts[-1] * SEC:
+            self.clock.sleep(round(self.timeouts[-1] * SEC))
+            raise socket.timeout("timed out")
+        self.clock.sleep(delay)
+        _type, _code, _cksum, ident, seq = self.request
+        return packet(ident, seq), (source, 0)
+
+
+class TestEchoReplies:
+    """The OS backend takes only its own echo reply, and only in its window."""
+
+    TARGET = "192.0.2.1"
+
+    def ping(self, steps):
+        net = OsNetwork()
+        net.clock = VirtualClock()
+        sock = ScriptedIcmpSocket(net.clock, steps)
+        net._icmp_socket = lambda: sock
+        return net.icmp_ping(ipaddress.IPv4Address(self.TARGET), SEC), sock
+
+    def test_a_raw_reply_needs_our_identifier(self):
+        mine, other = 0x1234, 0x4321
+        assert OsNetwork._echo_reply_matches(echo_reply(mine, 7), 7, mine)
+        assert not OsNetwork._echo_reply_matches(echo_reply(other, 7), 7, mine)
+        assert not OsNetwork._echo_reply_matches(echo_reply(mine, 8), 7, mine)
+        # a ping socket delivers no IP header, and rewrites the identifier
+        assert OsNetwork._echo_reply_matches(echo_reply(other, 7, header=b""), 7, mine)
+
+    def test_only_the_target_reply_with_our_identifier_counts(self):
+        steps = [
+            (100 * MS, lambda ident, seq: echo_reply(ident, seq), "192.0.2.99"),
+            (100 * MS, lambda ident, seq: echo_reply(ident ^ 1, seq), self.TARGET),
+            (100 * MS, lambda ident, seq: echo_reply(ident, seq + 1), self.TARGET),
+            (100 * MS, lambda ident, seq: echo_reply(ident, seq), self.TARGET),
+        ]
+        reply, sock = self.ping(steps)
+        assert reply == (True, 400 * MS)
+        assert sock.steps == []
+
+    def test_other_packets_do_not_stretch_the_window(self):
+        unrelated = (400 * MS, lambda ident, seq: echo_reply(ident, seq), "192.0.2.99")
+        reply, sock = self.ping([unrelated] * 4)
+        assert not reply.replied
+        # the send, then each wait only for what is left of the 1 s window
+        assert sock.timeouts == [1.0, 1.0, 0.6, 0.2]
+        assert len(sock.steps) == 1
