@@ -61,6 +61,8 @@ EXIT_CODES = (
 )
 
 LOGGER_ENV = "EDGEMAP_LOGGER"
+# the live commands' store when no --state-dir is given; simulate's is throwaway
+STATE_DIR = "edgemap-state"
 
 
 def _parse_ports(text: str) -> tuple:
@@ -129,8 +131,8 @@ def build_config(args) -> ScanConfig:
     return ScanConfig(**values)
 
 
-def build_transport(backend: str, config: ScanConfig):
-    if backend == "os":
+def build_transport(backend, config: ScanConfig):
+    if backend in (None, "os"):  # None: no --backend given
         if config.syn_scan:
             # refused before any probe, not at the first host that answers
             raise CapabilityUnsupported("the os backend runs unprivileged; SYN scan unavailable")
@@ -182,7 +184,7 @@ def _summary(fp, transport) -> str:
 def cmd_baseline(args, out) -> int:
     """`baseline`, or with --force `rebaseline`, which replaces the old after the sweep."""
     config = build_config(args)
-    store = FingerprintStore(args.state_dir)
+    store = FingerprintStore(args.state_dir or STATE_DIR)
     force = getattr(args, "force", False)
     replacing = store.has_trusted(config_digest(config))
     if replacing and not force:
@@ -212,7 +214,7 @@ def cmd_scan(args, out) -> int:
 def cmd_monitor(args, out) -> int:
     config = build_config(args)
     transport = build_transport(args.backend, config)
-    store = FingerprintStore(args.state_dir)
+    store = FingerprintStore(args.state_dir or STATE_DIR)
     if not store.has_trusted(config_digest(config)):
         raise NotFound("no trusted baseline for this config (run baseline first)")
     sink = build_sink(args)
@@ -285,7 +287,7 @@ def cmd_simulate(args, out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--backend", default="os", help="os (default) or sim:<scenario-file>")
+    parser.add_argument("--backend", help="os (default) or sim:<scenario-file>")
     parser.add_argument("--seed", help="fixed PRNG seed")
     parser.add_argument("--range", dest="address_range", help="IPv4 range a-b or CIDR")
     parser.add_argument("--ports", dest="port_range", help="port interval lo-hi")
@@ -297,8 +299,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sink", action="append",
                         help="stdout, file:<path> or udp:<host>:<port> (repeatable)")
     parser.add_argument("--node-id", dest="node_id", default="edgemap")
-    parser.add_argument("--state-dir", dest="state_dir", default="edgemap-state",
-                        help="fingerprint store directory")
+    parser.add_argument("--state-dir", dest="state_dir", help="fingerprint store directory "
+                        f"(default: {STATE_DIR}; simulate: a throwaway one)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -306,8 +308,8 @@ def make_parser() -> argparse.ArgumentParser:
         prog="edgemap",
         description="Active network scanning with trusted-baseline intrusion detection")
     sub = parser.add_subparsers(dest="command", required=True)
-    # built once and shared by the live commands; simulate builds its own,
-    # since its set_defaults would rewrite the shared actions' defaults
+    # built once and shared by every scanning command, so no command's
+    # set_defaults may name a common flag: it would rewrite the shared action
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common)
 
@@ -341,16 +343,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diff,
                    config_defaults={"address_range": "0.0.0.0-255.255.255.255"})
 
-    p = sub.add_parser("simulate",
+    p = sub.add_parser("simulate", parents=[common],
                        help="run the monitor loop against a scripted simulated network")
     p.add_argument("scenario", help="scenario file")
-    _add_common(p)
     p.add_argument("--epochs", type=int, default=2, help="monitoring sweeps to run")
     p.add_argument("--rates", choices=("full", "none"), default="full",
                    help="per-second packet rate table")
-    # unlike the live commands, simulation state is throwaway by default, and
-    # the backend is always the scenario named
-    p.set_defaults(func=cmd_simulate, state_dir=None, backend=None)
+    p.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -8,7 +8,7 @@ from itertools import compress, count
 from operator import ne
 
 from .errors import IncomparableFingerprints
-from .model import (OPEN_CODE, PORT_STATES, Alive, EventKind, IntrusionEvent,
+from .model import (OPEN_CODE, PORT_STATES, EventKind, IntrusionEvent,
                     NetworkFingerprint, PortState, ScanConfig)
 from .timebase import format_duration
 
@@ -54,18 +54,42 @@ def _port_events(addr, base, cur) -> list:
     return events
 
 
-def diff(baseline: NetworkFingerprint, current: NetworkFingerprint, config: ScanConfig):
-    """Ordered list of intrusion events separating current from baseline.
+def diff_host(addr, base, cur, config: ScanConfig) -> list:
+    """The unsorted events of one address, given its record on each side
+    (None for a side that did not see it).
 
-    One pass over the addresses: one that only one side saw (Up or
-    SilentUp; Down hosts never enter a fingerprint) is HostAdded or
-    HostRemoved, one that both saw gets the port and latency rules.  Port
-    transitions count only where both scans probed the port, and only in
-    or out of Open.  The latency rule needs both clauses: current median
-    above factor * baseline median AND above baseline by the absolute
-    floor, so sub-millisecond jitter cannot flap the alarm.  The events
-    carry no epoch; the caller that emits them supplies it.
+    An address one side did not see is HostAdded or HostRemoved; one both
+    saw gets the port and latency rules.  Port transitions count only
+    where both scans probed the port, and only in or out of Open.  The
+    latency rule needs samples on both sides and both clauses: current
+    median above factor * baseline median AND above baseline by the
+    absolute floor, so sub-millisecond jitter cannot flap the alarm.
     """
+    if base is None:
+        return [IntrusionEvent(kind=EventKind.HOST_ADDED, address=addr,
+                               baseline_value="absent", observed_value=cur.alive.value)]
+    if cur is None:
+        return [IntrusionEvent(kind=EventKind.HOST_REMOVED, address=addr,
+                               baseline_value=base.alive.value, observed_value="absent")]
+    events = []
+    if base.ports != cur.ports or base.banners != cur.banners:
+        events = _port_events(addr, base, cur)
+    if base.rtt_samples and cur.rtt_samples:
+        base_median = statistics.median_low(base.rtt_samples)
+        cur_median = statistics.median_low(cur.rtt_samples)
+        if (cur_median > base_median * config.rtt_anomaly_factor
+                and cur_median - base_median > config.rtt_anomaly_floor):
+            events.append(IntrusionEvent(
+                kind=EventKind.LATENCY_ANOMALY, address=addr,
+                baseline_value=f"median rtt {format_duration(base_median)}",
+                observed_value=f"median rtt {format_duration(cur_median)}"))
+    return events
+
+
+def diff(baseline: NetworkFingerprint, current: NetworkFingerprint, config: ScanConfig):
+    """Ordered list of intrusion events separating current from baseline:
+    diff_host's over every address either side saw, sorted by address,
+    kind and port.  The events carry no epoch; their emitter supplies it."""
     if baseline.config_digest != current.config_digest:
         raise IncomparableFingerprints(
             f"config digests differ: {baseline.config_digest:016x} "
@@ -74,29 +98,7 @@ def diff(baseline: NetworkFingerprint, current: NetworkFingerprint, config: Scan
     events = []
     # sets built from the dicts reuse the keys' stored hashes
     for addr in set(baseline.hosts) | set(current.hosts):
-        base = baseline.hosts.get(addr)
-        cur = current.hosts.get(addr)
-        if base is None:
-            events.append(IntrusionEvent(
-                kind=EventKind.HOST_ADDED, address=addr,
-                baseline_value="absent", observed_value=cur.alive.value))
-        elif cur is None:
-            events.append(IntrusionEvent(
-                kind=EventKind.HOST_REMOVED, address=addr,
-                baseline_value=base.alive.value, observed_value="absent"))
-        else:
-            if base.ports != cur.ports or base.banners != cur.banners:
-                events += _port_events(addr, base, cur)
-            if base.alive is Alive.UP and cur.alive is Alive.UP:
-                base_median = statistics.median_low(base.rtt_samples)
-                cur_median = statistics.median_low(cur.rtt_samples)
-                if (cur_median > base_median * config.rtt_anomaly_factor
-                        and cur_median - base_median > config.rtt_anomaly_floor):
-                    events.append(IntrusionEvent(
-                        kind=EventKind.LATENCY_ANOMALY, address=addr,
-                        baseline_value=f"median rtt {format_duration(base_median)}",
-                        observed_value=f"median rtt {format_duration(cur_median)}"))
-
+        events += diff_host(addr, baseline.hosts.get(addr), current.hosts.get(addr), config)
     events.sort(key=IntrusionEvent.sort_key)
     return events
 

@@ -146,9 +146,10 @@ class PortTable(Mapping):
 
 
 class Alive(Enum):
+    """A fingerprinted host's liveness; a Down host is never fingerprinted."""
+
     UP = "up"               # answered ICMP echo
     SILENT_UP = "silent"    # answered ARP but ignores ICMP echo
-    DOWN = "down"           # no response at all
 
 
 @dataclass(frozen=True)
@@ -212,21 +213,20 @@ def config_digest(config: ScanConfig) -> int:
 
 @dataclass(frozen=True)
 class HostRecord:
-    """One discovered host: liveness, ping timing, port states, banners."""
+    """One discovered host's echo RTT samples, port states and banners.
+    Its address is its `hosts` key, and `alive` follows from the samples."""
 
-    address: IPv4
-    alive: Alive
     rtt_samples: tuple[int, ...] = ()
     ports: Mapping[int, PortState] = field(default_factory=dict)  # a PortTable once built
     banners: Mapping[int, bytes] = field(default_factory=dict)
 
+    @property
+    def alive(self) -> Alive:
+        return Alive.UP if self.rtt_samples else Alive.SILENT_UP
+
     def __post_init__(self):
         if type(self.ports) is not PortTable:
             object.__setattr__(self, "ports", PortTable.from_mapping(self.ports))
-        if (len(self.rtt_samples) > 0) != (self.alive is Alive.UP):
-            raise ValueError("rtt_samples must be nonempty exactly for Up hosts")
-        if self.ports and self.alive is Alive.DOWN:
-            raise ValueError("a Down host cannot have probed ports")
         for port, banner in self.banners.items():
             if self.ports.get(port) is not PortState.OPEN:
                 raise ValueError(f"banner recorded for non-open port {port}")
@@ -241,15 +241,12 @@ class NetworkFingerprint:
     started_at: int
     finished_at: int
     config_digest: int
-    hosts: Mapping[IPv4, HostRecord]
+    hosts: Mapping[IPv4, HostRecord]  # each record keyed by its host's address
     trusted: bool = False
 
     def __post_init__(self):
         if self.finished_at < self.started_at:
             raise ValueError("fingerprint finished before it started")
-        for addr, rec in self.hosts.items():
-            if rec.address != addr:
-                raise ValueError(f"host map key {addr} != record address {rec.address}")
 
     def open_port_count(self) -> int:
         return sum(rec.ports.codes.count(OPEN_CODE) for rec in self.hosts.values())

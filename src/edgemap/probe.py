@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .model import (PORT_CODES, Alive, HostRecord, IPv4, NetworkFingerprint,
+from .model import (PORT_CODES, HostRecord, IPv4, NetworkFingerprint,
                     PortTable, ScanConfig, config_digest)
 from .transport import ProbeTransport
 
@@ -28,12 +28,12 @@ class SweepAborted(BaseException):
 
 
 def discover_host(target: IPv4, config: ScanConfig,
-                  transport: ProbeTransport, stop: StopFn = None):
-    """Classify a host as Up / SilentUp / Down and collect RTT samples.
+                  transport: ProbeTransport, stop: StopFn = None) -> Optional[tuple]:
+    """The host's echo RTT samples, which decide its liveness.
 
     With ARP capability: ARP first; a responder is then pinged.  Without
-    it, ICMP alone decides between Up and Down.  Up hosts contribute
-    RTT_SAMPLE_COUNT echo samples spaced by the ping delay.
+    it, ICMP alone decides.  An Up host gives up to RTT_SAMPLE_COUNT
+    samples spaced by the ping delay, a SilentUp one (), a Down one None.
     """
     clock, window, delay = transport.clock, config.ping_timeout, config.ping_delay
 
@@ -50,16 +50,14 @@ def discover_host(target: IPv4, config: ScanConfig,
         return result
 
     if transport.supports_arp and not windowed(transport.arp_probe).replied:
-        return Alive.DOWN, ()
+        return None
     samples = []
     while len(samples) < RTT_SAMPLE_COUNT:
         ping = windowed(transport.icmp_ping)
         if not ping.replied:
             break
         samples.append(ping.rtt)
-    if samples:
-        return Alive.UP, tuple(samples)
-    return (Alive.SILENT_UP if transport.supports_arp else Alive.DOWN), ()
+    return tuple(samples) if samples or transport.supports_arp else None
 
 
 def scan_host_ports(target: IPv4, config: ScanConfig, transport: ProbeTransport,
@@ -91,24 +89,23 @@ def full_sweep(config: ScanConfig, transport: ProbeTransport, schedule,
                stop: StopFn = None) -> NetworkFingerprint:
     """One complete pass over the address range in schedule order.
 
-    A stop request interrupts it (SweepAborted).  A transport failure
-    ends it too, and reaches the caller as raised: a host the sweep could
-    not probe is never reported as absent.
+    Down hosts stay out of it; a SilentUp host's ports are scanned only
+    with `scan_silent_hosts`.  A stop request interrupts it (SweepAborted).
+    A transport failure ends it too, and reaches the caller as raised: a
+    host the sweep could not probe is never reported as absent.
     """
     clock = transport.clock
     started = clock.now()
     hosts = {}
     for addr in schedule.host_order:
-        alive, samples = discover_host(addr, config, transport, stop)
-        if alive is Alive.DOWN:
+        samples = discover_host(addr, config, transport, stop)
+        if samples is None:
             continue
         ports, banners = {}, {}
-        eligible = alive is Alive.UP or (alive is Alive.SILENT_UP and config.scan_silent_hosts)
-        if eligible:
+        if samples or config.scan_silent_hosts:
             ports, banners = scan_host_ports(addr, config, transport,
                                              schedule.port_order(addr), stop)
-        hosts[addr] = HostRecord(address=addr, alive=alive, rtt_samples=samples,
-                                 ports=ports, banners=banners)
+        hosts[addr] = HostRecord(rtt_samples=samples, ports=ports, banners=banners)
     return NetworkFingerprint(
         started_at=started, finished_at=clock.now(),
         config_digest=config_digest(config), hosts=hosts, trusted=False)

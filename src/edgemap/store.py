@@ -8,22 +8,23 @@ File format (bit-exact, ascii, LF line endings):
     started <microseconds>
     finished <microseconds>
     host <ip> <up|silent>
-    rtt <us> [<us> ...]            # only for Up hosts
+    rtt <us> [<us> ...]            # only for `up` hosts
     port <number> <open|closed|filtered>         # a run of one port
     ports <lo>-<hi> <open|closed|filtered>       # a run of lo < hi
     banner <number> <hex>
     end
     checksum <8 lowercase hex>
 
-Each host is one block in exactly this line order: its `host` line, then
-its `rtt` line if it is Up, then its port runs, then its `banner` lines
-(hex of even length, possibly empty).  A port run is a maximal stretch
-of consecutive probed ports in one state: a run of one port is a `port`
-line, a longer one a `ports` line.  The loader enforces that order: a
-line out of it, or one that fits the layout nowhere, is CorruptRecord,
-and the error names that line or the host record it left invalid.
-Numbers are unsigned decimal with no leading zero, and the checksum is
-exactly 8 lowercase hex digits; a port is 1-65535.
+Each host is one block in exactly this line order: its `host` line, its
+`rtt` line if it is `up` (never if `silent`), its port runs, then its
+`banner` lines (hex of even length, possibly empty).  A port run is a
+maximal stretch of consecutive probed ports in one state: a run of one
+port is a `port` line, a longer one a `ports` line.  The loader enforces
+that order: a line missing from it or out of it, or one that fits the
+layout nowhere, is CorruptRecord, and the error names that line or the
+host record it left invalid.  Numbers are unsigned decimal with no
+leading zero, the checksum is exactly 8 lowercase hex digits, and a port
+is 1-65535.
 
 Hosts appear in strictly ascending numeric address order, and each
 host's runs and banners strictly ascending, so two records of the same
@@ -56,7 +57,7 @@ from operator import lt
 from pathlib import Path
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
-from .model import PORT_CODES, Alive, HostRecord, NetworkFingerprint, PortTable
+from .model import PORT_CODES, HostRecord, NetworkFingerprint, PortTable
 
 HEADER = "edgemap-fingerprint v2"
 
@@ -104,7 +105,7 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
 _NUMBER = rb"(?:0|[1-9][0-9]*)"
 _PREAMBLE = re.compile(rb"digest ([0-9a-f]{16})\ntrusted ([01])\n"
                        rb"started (%s)\nfinished (%s)\n" % (_NUMBER, _NUMBER))
-_HOST = re.compile(rb"host ([0-9.]+) (up|silent)\n(?:rtt ((?:%s )*%s)\n)?" % (_NUMBER, _NUMBER))
+_HOST = re.compile(rb"host ([0-9.]+) (?:up\nrtt ((?:%s )*%s)|silent)\n" % (_NUMBER, _NUMBER))
 _V1_PORTS = re.compile(rb"(?:port (?!0[0-9])[0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
 # a v2 run: the lo of a `ports` line, then the hi, or the one port of a `port` line
 _RUN = re.compile(rb"port(?:s ([1-9][0-9]{0,4})-| )([1-9][0-9]{0,4}) (open|closed|filtered)\n")
@@ -208,10 +209,9 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
             banners[port] = bytes.fromhex(banner[2].decode())
             previous = port
             pos = banner.end()
-        rtt = tuple(map(int, host[3].split())) if host[3] else ()
+        rtt = tuple(map(int, host[2].split())) if host[2] else ()
         try:
-            hosts[addr] = HostRecord(address=addr, alive=Alive(host[2].decode()),
-                                     rtt_samples=rtt, ports=PortTable(first, codes),
+            hosts[addr] = HostRecord(rtt_samples=rtt, ports=PortTable(first, codes),
                                      banners=banners)
         except ValueError as exc:
             raise CorruptRecord(f"invalid host record for {addr}: {exc}") from exc
@@ -306,23 +306,28 @@ class FingerprintStore:
     def has_trusted(self, digest: int) -> bool:
         return self._trusted_path(digest).exists()
 
-    def _epochs(self, digest: int) -> list:
-        """The numbers of the digest's stored epochs, read from the file
-        names: a name sort would put epoch1000000 before epoch999999."""
+    def latest_epoch(self, digest: int) -> int:
+        """Highest epoch number stored for the digest, 0 when there is none,
+        read from the file names: a name sort would put epoch1000000 before
+        epoch999999."""
         prefix = f"{digest:016x}.epoch"
         numbers = (path.name[len(prefix):-len(".fp")]
                    for path in self.directory.glob(f"{prefix}*.fp"))
-        return [int(n) for n in numbers if n.isdecimal()]
-
-    def latest_epoch(self, digest: int) -> int:
-        """Highest epoch number stored for the digest, 0 when there is none."""
-        return max(self._epochs(digest), default=0)
+        return max((int(n) for n in numbers if n.isdecimal()), default=0)
 
     def prune_epochs(self, digest: int, through: int) -> None:
-        """Delete every epoch file of the digest numbered `through` or lower."""
-        for epoch in self._epochs(digest):
-            if epoch <= through:
-                self.delete_epoch(digest, epoch)
+        """Delete every epoch file of the digest numbered `through` or lower,
+        and in the same pass every epoch temp file of the digest.  Only a
+        write cut short (a kill, a power cut) leaves one, and nothing else
+        deletes it.  The trusted record's temp file is left alone, since a
+        concurrent `rebaseline` may be writing it."""
+        prefix = f"{digest:016x}.epoch"
+        for path in self.directory.glob(f"{prefix}*"):
+            number, _, suffix = path.name[len(prefix):].partition(".")
+            if number.isdecimal() and (suffix == "tmp"
+                                       or suffix == "fp" and int(number) <= through):
+                with contextlib.suppress(FileNotFoundError):
+                    path.unlink()
 
     def delete_epoch(self, digest: int, epoch: int) -> None:
         # a plain string, not a Path: pathlib (Python 3.11) interns every

@@ -20,7 +20,7 @@ def small_config(**overrides) -> ScanConfig:
     return ScanConfig(**defaults)
 
 
-def random_host_record(rnd: random.Random, address, port_lo=1, port_hi=16) -> HostRecord:
+def random_host_record(rnd: random.Random, port_lo=1, port_hi=16) -> HostRecord:
     alive = rnd.choice([Alive.UP, Alive.UP, Alive.SILENT_UP])
     rtt = tuple(rnd.randrange(200, 5000) for _ in range(3)) if alive is Alive.UP else ()
     ports = {}
@@ -33,8 +33,7 @@ def random_host_record(rnd: random.Random, address, port_lo=1, port_hi=16) -> Ho
             ports[port] = state
             if state is PortState.OPEN and rnd.random() < 0.5:
                 banners[port] = bytes(rnd.randrange(32, 127) for _ in range(rnd.randrange(1, 24)))
-    return HostRecord(address=address, alive=alive, rtt_samples=rtt,
-                      ports=ports, banners=banners)
+    return HostRecord(rtt_samples=rtt, ports=ports, banners=banners)
 
 
 def random_fingerprint(rnd: random.Random, digest: int = 0x1234,
@@ -42,7 +41,7 @@ def random_fingerprint(rnd: random.Random, digest: int = 0x1234,
     hosts = {}
     for i in rnd.sample(range(1, 30), rnd.randrange(0, max_hosts + 1)):
         addr = ipaddress.IPv4Address(f"{base}{i}")
-        hosts[addr] = random_host_record(rnd, addr)
+        hosts[addr] = random_host_record(rnd)
     start = rnd.randrange(0, 10_000_000)
     return NetworkFingerprint(started_at=start,
                               finished_at=start + rnd.randrange(0, 60_000_000),

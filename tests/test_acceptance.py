@@ -19,7 +19,7 @@ import scipy.stats
 
 from edgemap import cli
 from edgemap.errors import CorruptRecord
-from edgemap.model import (AddressRange, Alive, HostRecord, PortState)
+from edgemap.model import (AddressRange, HostRecord, PortState)
 from edgemap.probe import full_sweep
 from edgemap.rng import Prng
 from edgemap.scenario import load as load_scenario
@@ -167,7 +167,7 @@ def _mutate(rnd, baseline):
 
     free = [A(f"10.9.0.{i}") for i in rnd.sample(range(1, 200), 3)]
     for addr in free[:rnd.randrange(0, 3)]:
-        hosts[addr] = HostRecord(address=addr, alive=Alive.SILENT_UP)
+        hosts[addr] = HostRecord()
         expected.add((int(addr), "HostAdded", None))
 
     for addr in candidates:

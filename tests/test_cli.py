@@ -440,11 +440,18 @@ class TestSinkWiring:
         assert not log.exists()
 
 
-def test_simulate_defaults_leave_the_live_commands_alone():
-    # the live commands share one set of common flags; simulate's throwaway
-    # state dir and scenario backend must not become their defaults
-    parser = cli.make_parser()
-    monitor = parser.parse_args(["monitor"])
-    simulate = parser.parse_args(["simulate", "net.scn"])
-    assert (monitor.state_dir, monitor.backend) == ("edgemap-state", "os")
-    assert (simulate.state_dir, simulate.backend) == (None, None)
+def test_simulate_defaults_leave_the_live_commands_alone(ws, monkeypatch, capsys):
+    # every scanning command shares one set of common flags; simulate's
+    # throwaway state dir and scenario backend must not become the defaults
+    # of the live commands, which store in ./edgemap-state and probe through
+    # the os backend
+    monkeypatch.chdir(ws)
+    assert run(_simulate(ws, "net.scn"))[0] == 0
+    assert not (ws / "edgemap-state").exists()
+    assert run(["monitor", "--config", str(ws / "edge.conf")])[0] == 4
+    assert (ws / "edgemap-state").is_dir()
+    capsys.readouterr()
+    # the os backend refuses a SYN scan before the store is opened
+    assert run(["monitor", "--config", str(ws / "edge.conf"), "--syn"])[0] == 2
+    assert capsys.readouterr().err == (
+        "error: the os backend runs unprivileged; SYN scan unavailable\n")

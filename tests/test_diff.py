@@ -6,7 +6,7 @@ import pytest
 
 from edgemap.diffing import ScenarioTag, classify_scenario, diff
 from edgemap.errors import IncomparableFingerprints
-from edgemap.model import Alive, EventKind, HostRecord, NetworkFingerprint, PortState
+from edgemap.model import EventKind, HostRecord, NetworkFingerprint, PortState
 from conftest import random_fingerprint, random_host_record, small_config
 from oracles import brute_force_diff, event_tuples
 
@@ -15,13 +15,13 @@ A = ipaddress.IPv4Address
 
 def fp(hosts, trusted=False, digest=0xD1):
     return NetworkFingerprint(started_at=0, finished_at=10, config_digest=digest,
-                              hosts={h.address: h for h in hosts}, trusted=trusted)
+                              hosts=dict(hosts), trusted=trusted)
 
 
-def host(i, alive=Alive.UP, rtt=(500, 500, 500), ports=None, banners=None):
-    return HostRecord(address=A(f"10.0.0.{i}"), alive=alive,
-                      rtt_samples=rtt if alive is Alive.UP else (),
-                      ports=ports or {}, banners=banners or {})
+def host(i, rtt=(500, 500, 500), ports=None, banners=None):
+    """An address and its record; a host without samples is SilentUp."""
+    return A(f"10.0.0.{i}"), HostRecord(rtt_samples=rtt, ports=ports or {},
+                                        banners=banners or {})
 
 
 CFG = small_config()
@@ -42,7 +42,7 @@ class TestPreconditions:
 class TestHostEvents:
     def test_added_and_removed(self):
         base = fp([host(1)], trusted=True)
-        cur = fp([host(2, alive=Alive.SILENT_UP, rtt=())])
+        cur = fp([host(2, rtt=())])
         events = diff(base, cur, CFG)
         assert event_tuples(events) == {
             (int(A("10.0.0.1")), "HostRemoved", None),
@@ -51,7 +51,7 @@ class TestHostEvents:
 
     def test_up_to_silent_is_not_an_event(self):
         base = fp([host(1)], trusted=True)
-        cur = fp([host(1, alive=Alive.SILENT_UP, rtt=())])
+        cur = fp([host(1, rtt=())])
         assert diff(base, cur, CFG) == []
 
 
@@ -131,7 +131,7 @@ class TestLatency:
 
     def test_silent_hosts_have_no_latency_events(self):
         base = fp([host(1)], trusted=True)
-        cur = fp([host(1, alive=Alive.SILENT_UP, rtt=())])
+        cur = fp([host(1, rtt=())])
         assert diff(base, cur, CFG) == []
 
 
@@ -141,7 +141,7 @@ class TestOrderingAndSymmetry:
                    host(3)], trusted=True)
         cur = fp([host(1, ports={5: PortState.CLOSED, 2: PortState.OPEN},
                        rtt=(500, 500, 500)),
-                  host(2, alive=Alive.SILENT_UP, rtt=())])
+                  host(2, rtt=())])
         events = diff(base, cur, CFG)
         assert [e.sort_key() for e in events] == sorted(e.sort_key() for e in events)
 
@@ -173,8 +173,8 @@ class TestOracleEquivalence:
         # port tables of different, overlapping or disjoint spans, with holes
         spans = [(1, 16), (5, 30), (1, 3), (14, 14), (60000, 60012), (65530, 65535)]
 
-        def spanned(addr):
-            rec = random_host_record(rnd, addr, *rnd.choice(spans))
+        def spanned():
+            rec = random_host_record(rnd, *rnd.choice(spans))
             ports = {p: s for p, s in rec.ports.items() if p in rec.banners or rnd.random() < 0.8}
             return dataclasses.replace(rec, ports=ports)
 
@@ -193,11 +193,11 @@ class TestOracleEquivalence:
 
         for _ in range(500):
             addrs = [A(f"10.0.2.{i}") for i in rnd.sample(range(1, 12), 4)]
-            base_hosts = {a: spanned(a) for a in addrs[:3]}
+            base_hosts = {a: spanned() for a in addrs[:3]}
             cur_hosts = {a: edited(base_hosts[a]) if a in base_hosts and rnd.random() < 0.5
-                         else spanned(a) for a in addrs[1:]}
-            base = fp(base_hosts.values(), trusted=True)
-            cur = fp(cur_hosts.values())
+                         else spanned() for a in addrs[1:]}
+            base = fp(base_hosts.items(), trusted=True)
+            cur = fp(cur_hosts.items())
             expected = brute_force_diff(base, cur, CFG.rtt_anomaly_factor,
                                         CFG.rtt_anomaly_floor)
             assert event_tuples(diff(base, cur, CFG)) == expected

@@ -120,28 +120,19 @@ class TestConfigDigest:
 
 
 class TestHostRecord:
-    def test_up_requires_samples(self):
-        with pytest.raises(ValueError):
-            HostRecord(address=A("10.0.0.1"), alive=Alive.UP)
-
-    def test_silent_rejects_samples(self):
-        with pytest.raises(ValueError):
-            HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP,
-                       rtt_samples=(100,))
-
-    def test_down_rejects_ports(self):
-        with pytest.raises(ValueError):
-            HostRecord(address=A("10.0.0.1"), alive=Alive.DOWN,
-                       ports={22: PortState.CLOSED})
+    def test_liveness_follows_the_samples(self):
+        assert HostRecord(rtt_samples=(100,)).alive is Alive.UP
+        assert HostRecord(ports={22: PortState.OPEN}).alive is Alive.SILENT_UP
+        assert [alive.value for alive in Alive] == ["up", "silent"]
+        with pytest.raises(TypeError):  # liveness is no field
+            HostRecord(alive=Alive.UP)
 
     def test_banner_requires_open_port(self):
         with pytest.raises(ValueError):
-            HostRecord(address=A("10.0.0.1"), alive=Alive.UP, rtt_samples=(9,),
-                       ports={22: PortState.CLOSED}, banners={22: b"x"})
+            HostRecord(rtt_samples=(9,), ports={22: PortState.CLOSED}, banners={22: b"x"})
 
     def test_valid_record(self):
-        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.UP,
-                         rtt_samples=(400, 500, 900),
+        rec = HostRecord(rtt_samples=(400, 500, 900),
                          ports={22: PortState.OPEN, 23: PortState.FILTERED},
                          banners={22: b"SSH-2.0\r\n"})
         assert rec.ports[22] is PortState.OPEN
@@ -208,7 +199,7 @@ class TestPortTable:
         with pytest.raises(ValueError):
             PortTable.from_mapping(ports)
         with pytest.raises(ValueError):
-            HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP, ports=ports)
+            HostRecord(ports=ports)
 
     @pytest.mark.parametrize("first, codes", [(1, b"\x04"), (0, b"\x01"), (65535, b"\x01\x01")])
     def test_a_bad_code_or_span_raises_value_error(self, first, codes):
@@ -216,25 +207,18 @@ class TestPortTable:
             PortTable(first, codes)
 
     def test_a_host_record_holds_a_table(self):
-        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP,
-                         ports={23: PortState.CLOSED, 22: PortState.OPEN})
+        rec = HostRecord(ports={23: PortState.CLOSED, 22: PortState.OPEN})
         assert type(rec.ports) is PortTable
         assert dataclasses.replace(rec).ports is rec.ports
 
 
 class TestFingerprint:
-    def test_key_must_match_record_address(self):
-        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP)
-        with pytest.raises(ValueError):
-            NetworkFingerprint(started_at=0, finished_at=1, config_digest=1,
-                               hosts={A("10.0.0.2"): rec})
-
     def test_time_ordering(self):
         with pytest.raises(ValueError):
             NetworkFingerprint(started_at=5, finished_at=4, config_digest=1, hosts={})
 
     def test_open_port_count(self):
-        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.UP, rtt_samples=(1,),
+        rec = HostRecord(rtt_samples=(1,),
                          ports={1: PortState.OPEN, 2: PortState.OPEN,
                                 3: PortState.CLOSED})
         fp = NetworkFingerprint(started_at=0, finished_at=1, config_digest=1,

@@ -28,29 +28,36 @@ def probes_sent(net, *classes):
 class TestDiscoverHost:
     def test_up_host_gets_three_rtt_samples(self):
         net = net_with(spec(1, base_rtt=400))
-        alive, samples = probe.discover_host(A("10.0.0.1"), small_config(), net)
-        assert alive is Alive.UP
+        samples = probe.discover_host(A("10.0.0.1"), small_config(), net)
         assert samples == (400, 400, 400)
         assert probes_sent(net, "arp_request") == 1
         assert probes_sent(net, "icmp_request") == 3
 
     def test_silent_host(self):
         net = net_with(spec(1, icmp_echo_enabled=False))
-        alive, samples = probe.discover_host(A("10.0.0.1"), small_config(), net)
-        assert alive is Alive.SILENT_UP and samples == ()
+        samples = probe.discover_host(A("10.0.0.1"), small_config(), net)
+        assert samples == ()
         assert probes_sent(net, "arp_request", "icmp_request") == 2
 
     def test_absent_host_is_down_after_one_arp(self):
         net = net_with()
-        alive, samples = probe.discover_host(A("10.0.0.9"), small_config(), net)
-        assert alive is Alive.DOWN
+        assert probe.discover_host(A("10.0.0.9"), small_config(), net) is None
         assert probes_sent(net, "arp_request", "icmp_request") == 1
 
     def test_stealth_host_is_down(self):
         net = net_with(spec(1, arp_enabled=False, icmp_echo_enabled=False,
                             open_ports={22: None}))
-        alive, _ = probe.discover_host(A("10.0.0.1"), small_config(), net)
-        assert alive is Alive.DOWN
+        assert probe.discover_host(A("10.0.0.1"), small_config(), net) is None
+
+    def test_without_arp_the_echo_alone_decides(self):
+        # the OS backend has no ARP: a host that ignores ICMP echo is Down there
+        class NoArp(SimNetwork):
+            supports_arp = False
+
+        net = NoArp([spec(1, base_rtt=400), spec(2, icmp_echo_enabled=False)])
+        assert probe.discover_host(A("10.0.0.1"), small_config(), net) == (400, 400, 400)
+        assert probe.discover_host(A("10.0.0.2"), small_config(), net) is None
+        assert probes_sent(net, "arp_request") == 0
 
     def test_fixed_window_pacing(self):
         """Each discovery probe owns window + delay regardless of reply speed."""

@@ -349,6 +349,24 @@ class TestRunMonitor:
         assert run_monitor(cfg, net, store, sink, max_epochs=2) == 2
         assert stored_epochs(tmp_path) == list(range(903, 1003))
 
+    def test_a_stray_epoch_temp_file_goes_at_start(self, tmp_path):
+        # an epoch write killed before its rename leaves its temp file, and
+        # the restarted run need never write that epoch number again
+        cfg, net, store, sink, _ = make_parts(tmp_path)
+        run_monitor(cfg, net, store, sink, max_epochs=0)  # the baseline
+        prefix = tmp_path / "state" / f"{config_digest(cfg):016x}"
+        stray = prefix.with_name(prefix.name + ".epoch000007.tmp")
+        stray.write_bytes(b"edgemap-fingerprint v2\n")
+        # a rebaseline may be writing the trusted one; another config's is not ours
+        kept = [prefix.with_name(prefix.name + ".trusted.tmp"),
+                tmp_path / "state" / "0000000000000001.epoch000007.tmp"]
+        for path in kept:
+            path.write_bytes(b"")
+        assert run_monitor(cfg, net, store, sink, max_epochs=1) == 1
+        assert not stray.exists()
+        assert all(path.exists() for path in kept)
+        assert stored_epochs(tmp_path) == [1]
+
     def test_epochs_without_a_file_still_move_the_window(self, tmp_path):
         cfg, net, store, sink, lines = make_parts(tmp_path, net_cls=Outage)
 

@@ -27,15 +27,14 @@ def read_epoch(directory, digest, epoch):
 
 
 def sample_fp(trusted=False):
-    rec1 = HostRecord(address=A("10.0.0.1"), alive=Alive.UP,
-                      rtt_samples=(400, 500, 900),
+    rec1 = HostRecord(rtt_samples=(400, 500, 900),
                       ports={22: PortState.OPEN, 23: PortState.FILTERED,
                              24: PortState.CLOSED},
                       banners={22: b"SSH-2.0 unit\r\n"})
-    rec2 = HostRecord(address=A("10.0.0.2"), alive=Alive.SILENT_UP)
+    rec2 = HostRecord()
     return NetworkFingerprint(started_at=100, finished_at=2200,
                               config_digest=0xABCDEF0123456789,
-                              hosts={rec1.address: rec1, rec2.address: rec2},
+                              hosts={A("10.0.0.1"): rec1, A("10.0.0.2"): rec2},
                               trusted=trusted)
 
 
@@ -70,8 +69,8 @@ class TestSerialization:
         states = [PortState.CLOSED] * 3 + [PortState.OPEN] + [PortState.FILTERED] * 5
         ports = {**dict(zip(range(1, 10), states)), 20: PortState.CLOSED, 21: PortState.CLOSED,
                  22: PortState.OPEN, 65535: PortState.OPEN}
-        rec = HostRecord(address=A("10.0.0.1"), alive=Alive.SILENT_UP, ports=ports)
-        fp = dataclasses.replace(sample_fp(), hosts={rec.address: rec})
+        rec = HostRecord(ports=ports)
+        fp = dataclasses.replace(sample_fp(), hosts={A("10.0.0.1"): rec})
         data = dumps_fingerprint(fp).decode()
         assert data.split("\n")[5:-3] == [
             "host 10.0.0.1 silent",
@@ -99,7 +98,7 @@ class TestSerialization:
 
 
 @st.composite
-def host_records(draw, address):
+def host_records(draw):
     """A host with 0 to 65,535 ports, in one stretch with `gaps` ports left
     unprobed; states come from a drawn seed, since drawing 65,535 of them
     one by one is slow.  Each port keeps the state of the one below it with
@@ -121,8 +120,7 @@ def host_records(draw, address):
                      states))
     open_ports = sorted(p for p, state in ports.items() if state is PortState.OPEN)
     banners = {p: draw(st.binary(max_size=12)) for p in open_ports[:draw(st.integers(0, 4))]}
-    return HostRecord(address=address, alive=alive, rtt_samples=rtt,
-                      ports=ports, banners=banners)
+    return HostRecord(rtt_samples=rtt, ports=ports, banners=banners)
 
 
 @st.composite
@@ -132,7 +130,7 @@ def fingerprints(draw):
     return NetworkFingerprint(
         started_at=started, finished_at=started + draw(st.integers(0, 10**12)),
         config_digest=draw(st.integers(0, 2**64 - 1)),
-        hosts={A(f"10.0.0.{o}"): draw(host_records(A(f"10.0.0.{o}"))) for o in octets},
+        hosts={A(f"10.0.0.{o}"): draw(host_records()) for o in octets},
         trusted=draw(st.booleans()))
 
 
@@ -145,10 +143,10 @@ class TestCodecProperties:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(fingerprints())
     @example(dataclasses.replace(sample_fp(), hosts={
-        A("10.0.0.1"): HostRecord(address=A("10.0.0.1"), alive=Alive.UP, rtt_samples=(5,),
+        A("10.0.0.1"): HostRecord(rtt_samples=(5,),
                                   ports=dict.fromkeys(range(1, 65536), PortState.OPEN),
                                   banners={22: b""}),  # written as "banner 22 "
-        A("10.0.0.2"): HostRecord(address=A("10.0.0.2"), alive=Alive.SILENT_UP)}))
+        A("10.0.0.2"): HostRecord()}))
     def test_loads_inverts_dumps(self, fp):
         record = dumps_fingerprint(fp)
         assert loads_fingerprint(dumps_v1(fp)) == loads_fingerprint(record) == fp
@@ -188,8 +186,7 @@ def test_loading_allocates_little_beyond_the_fingerprint():
     for i in range(1, 17):
         ports = {p: rnd.choice(list(PortState)) for p in range(1, 1025)}
         banners = {p: b"svc %d\r\n" % p for p, state in ports.items() if state is PortState.OPEN}
-        hosts[A(f"10.0.0.{i}")] = HostRecord(address=A(f"10.0.0.{i}"), alive=Alive.UP,
-                                             rtt_samples=(300, 310, 320),
+        hosts[A(f"10.0.0.{i}")] = HostRecord(rtt_samples=(300, 310, 320),
                                              ports=ports, banners=banners)
     data = dumps_fingerprint(NetworkFingerprint(started_at=0, finished_at=1,
                                                 config_digest=1, hosts=hosts))
@@ -213,8 +210,7 @@ def test_a_loaded_record_holds_its_port_states_in_a_byte_a_port():
         ports = dict(zip(range(1, 1025), states))
         banners = {p: b"svc %d\r\n" % p for p, state in ports.items()
                    if state is PortState.OPEN and rnd.random() < 0.5}
-        hosts[A(f"10.0.0.{i}")] = HostRecord(address=A(f"10.0.0.{i}"), alive=Alive.UP,
-                                             rtt_samples=(300, 310, 320),
+        hosts[A(f"10.0.0.{i}")] = HostRecord(rtt_samples=(300, 310, 320),
                                              ports=ports, banners=banners)
     data = dumps_fingerprint(NetworkFingerprint(started_at=0, finished_at=1,
                                                 config_digest=1, hosts=hosts))
@@ -363,6 +359,21 @@ class TestCorruptionDetection:
         body = preamble + b"".join(line + b"\n" for line in [b"host 10.0.0.2 silent", *runs])
         with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
             loads_fingerprint(seal(body + b"end\n"))
+
+    @pytest.mark.parametrize("version", [b"v1", b"v2"])
+    @pytest.mark.parametrize("lines, error", [
+        ([b"host 10.0.0.2 up", b"port 22 open"], "unexpected line 'host 10.0.0.2 up'"),
+        ([b"host 10.0.0.2 silent", b"rtt 400", b"port 22 open"], "unexpected line 'rtt 400'"),
+        ([b"host 10.0.0.2 down"], "unexpected line 'host 10.0.0.2 down'"),
+    ])
+    def test_a_host_line_its_rtt_line_disagrees_with_is_caught(self, version, lines, error):
+        # an up host has exactly one rtt line, a silent one none, and no
+        # other state is written
+        preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
+        preamble = preamble.replace(b"fingerprint v2", b"fingerprint " + version)
+        body = b"".join(line + b"\n" for line in [b"host 10.0.0.1 silent", *lines, b"end"])
+        with pytest.raises(CorruptRecord, match=f"^{re.escape(error)}$"):
+            loads_fingerprint(seal(preamble + body))
 
     def test_runs_apart_may_share_a_state(self):
         preamble = dumps_fingerprint(sample_fp()).split(b"host ")[0]
