@@ -285,22 +285,29 @@ def cmd_simulate(args, out) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--backend", help="os (default) or sim:<scenario-file>")
-    parser.add_argument("--seed", help="fixed PRNG seed")
-    parser.add_argument("--range", dest="address_range", help="IPv4 range a-b or CIDR")
-    parser.add_argument("--ports", dest="port_range", help="port interval lo-hi")
-    parser.add_argument("--ping-delay", dest="ping_delay", help="e.g. 100ms")
-    parser.add_argument("--port-delay", dest="port_delay", help="e.g. 100ms")
-    parser.add_argument("--rescan-interval", dest="rescan_interval", help="e.g. 300s")
-    parser.add_argument("--syn", dest="syn_scan", action="store_const", const="on",
-                        help="use SYN scanning")
-    parser.add_argument("--sink", action="append",
+def _flag_sets() -> tuple:
+    """The flags the commands share, as three parent parsers: the scan
+    settings, the fingerprint store, and the event outputs.  A command
+    takes only the sets it reads, so argparse refuses any other flag."""
+    scanning = argparse.ArgumentParser(add_help=False)
+    scanning.add_argument("--config", help="key=value config file")
+    scanning.add_argument("--backend", help="os (default) or sim:<scenario-file>")
+    scanning.add_argument("--seed", help="fixed PRNG seed")
+    scanning.add_argument("--range", dest="address_range", help="IPv4 range a-b or CIDR")
+    scanning.add_argument("--ports", dest="port_range", help="port interval lo-hi")
+    scanning.add_argument("--ping-delay", dest="ping_delay", help="e.g. 100ms")
+    scanning.add_argument("--port-delay", dest="port_delay", help="e.g. 100ms")
+    scanning.add_argument("--rescan-interval", dest="rescan_interval", help="e.g. 300s")
+    scanning.add_argument("--syn", dest="syn_scan", action="store_const", const="on",
+                          help="use SYN scanning")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state-dir", dest="state_dir", help="fingerprint store directory "
+                       f"(default: {STATE_DIR}; simulate: a throwaway one)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--sink", action="append",
                         help="stdout, file:<path> or udp:<host>:<port> (repeatable)")
-    parser.add_argument("--node-id", dest="node_id", default="edgemap")
-    parser.add_argument("--state-dir", dest="state_dir", help="fingerprint store directory "
-                        f"(default: {STATE_DIR}; simulate: a throwaway one)")
+    output.add_argument("--node-id", dest="node_id", default="edgemap")
+    return scanning, state, output
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -308,26 +315,25 @@ def make_parser() -> argparse.ArgumentParser:
         prog="edgemap",
         description="Active network scanning with trusted-baseline intrusion detection")
     sub = parser.add_subparsers(dest="command", required=True)
-    # built once and shared by every scanning command, so no command's
-    # set_defaults may name a common flag: it would rewrite the shared action
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
+    # built once and shared by the commands that take them, so no command's
+    # set_defaults may name a shared flag: it would rewrite the shared action
+    scanning, state, output = _flag_sets()
 
-    p = sub.add_parser("baseline", parents=[common],
+    p = sub.add_parser("baseline", parents=[scanning, state],
                        help="learn and persist the trusted fingerprint")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("rebaseline", parents=[common],
+    p = sub.add_parser("rebaseline", parents=[scanning, state],
                        help="deliberately replace the trusted fingerprint")
     p.add_argument("--force", action="store_true", required=True,
                    help="required; baseline replacement is a deliberate act")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("scan", parents=[common], help="one sweep, print results")
+    p = sub.add_parser("scan", parents=[scanning], help="one sweep, print results")
     p.add_argument("--out", help="write the fingerprint to this file")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("monitor", parents=[common],
+    p = sub.add_parser("monitor", parents=[scanning, state, output],
                        help="continuous monitoring against the baseline")
     p.add_argument("--epochs", type=int, default=None,
                    help="stop after N sweeps (default: run until signalled)")
@@ -343,7 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diff,
                    config_defaults={"address_range": "0.0.0.0-255.255.255.255"})
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[scanning, state, output],
                        help="run the monitor loop against a scripted simulated network")
     p.add_argument("scenario", help="scenario file")
     p.add_argument("--epochs", type=int, default=2, help="monitoring sweeps to run")

@@ -42,12 +42,16 @@ never as a silently truncated fingerprint.
 Version 1 (`edgemap-fingerprint v1`) is read, never written: it has the
 same layout but one `port` line per probed port, and no `ports` lines.
 A v1 record, such as the trusted baseline of a node set up before v2,
-loads to the same fingerprint as its v2 record.
+loads to the same fingerprint as its v2 record.  A host's v1 port lines
+for one consecutive stretch of ports, as every sweep wrote them, are
+read 1,024 lines at a time as blocks of bytes; any other port lines one
+line at a time, by the reader that gives every v1 refusal its message.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import ipaddress
 import os
 import re
@@ -96,12 +100,12 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
 
 # The layout of the module docstring, matched on the record's bytes one
 # host at a time.  A repeated group keeps a backtracking entry of a few
-# hundred bytes per repetition until its match returns, so v1 port lines
-# are matched, and their codes built, at most 1,024 at a time (one match
-# for the default port range), v2 runs and banner lines (hex of any
-# length) one at a time.  A port number has at most five digits, so a
-# table is at most 100,000 bytes before PortTable refuses the ports above
-# 65535.
+# hundred bytes per repetition until its match returns, so the per-line
+# v1 reader matches port lines, and builds their codes, at most 1,024 at
+# a time (one match for the default port range), and v2 runs and banner
+# lines (hex of any length) one at a time.  A port number has at most
+# five digits, so a table is at most 100,000 bytes before PortTable
+# refuses the ports above 65535.
 _NUMBER = rb"(?:0|[1-9][0-9]*)"
 _PREAMBLE = re.compile(rb"digest ([0-9a-f]{16})\ntrusted ([01])\n"
                        rb"started (%s)\nfinished (%s)\n" % (_NUMBER, _NUMBER))
@@ -113,8 +117,75 @@ _BANNER = re.compile(rb"banner (%s) ([0-9a-f]*)\n" % _NUMBER)
 _TRAILER = re.compile(rb"checksum ([0-9a-f]{8})\n")
 
 
+# The bulk step of the v1 reader, for a host's port lines that are one
+# consecutive stretch of ports.  It works 1,024 lines at a time, so what
+# it allocates, and the skeletons it keeps, stay within tens of KB.
+# Cutting the state words off a block of lines must leave the skeleton
+# `port lo\nport lo+1\n...` of its ports; each state word has exactly one
+# of `n`, `c` and `f`, and `port` and the digits have none, so one
+# translate gives each line's code.
+_V1_PORT = re.compile(rb"port ([1-9][0-9]{0,4}) ")  # a line's port, as the writer wrote it
+_V1_BLOCK_END = re.compile(rb"\n[^p]")  # the end of the last line starting with `p`
+_V1_SUFFIXES = tuple(b" %s\n" % name.encode() for name in PORT_CODES)
+_V1_MARKS = bytes.maketrans(b"ncf", bytes(map(PORT_CODES.get, ("open", "closed", "filtered"))))
+_V1_UNMARKED = bytes(byte for byte in range(256) if byte not in b"ncf\n")
+
+
+@functools.lru_cache(maxsize=4)  # a port range of up to 4,096 ports; 11 KB each at most
+def _v1_skeleton(lo: int, count: int) -> bytes:
+    """The v1 port lines of ports lo to lo + count - 1, with their state words cut."""
+    return b"port %d\n" * count % tuple(range(lo, lo + count))
+
+
+def _v1_stretch(data: bytes, pos: int):
+    """The `first` and codes of the v1 port lines at `pos`, and where they
+    end, when those lines are `port <p> <state>` for p counting up by one
+    from lo to hi <= 65535, exactly as the writer wrote them; else None.
+
+    This is a checked shortcut for the per-line reader: it reads a subset
+    of what that reader accepts, to the same codes, and leaves every other
+    block, and so every refusal and its message, to it.
+    """
+    head = _V1_PORT.match(data, pos)
+    if head is None:
+        return None
+    # the record ends with its checksum line, so a line not starting with `p` follows
+    end = _V1_BLOCK_END.search(data, pos).start() + 1
+    tail = _V1_PORT.match(data, max(pos, data.rfind(b"\n", pos, end - 1) + 1))
+    if tail is None:
+        return None
+    lo, hi = int(head[1]), int(tail[1])
+    if not lo <= hi <= 65535:
+        return None
+    codes = bytearray()
+    for start in range(lo, hi + 1, 1024):
+        stop = min(start + 1024, hi + 1)
+        cut = end if stop > hi else data.find(b"\nport %d " % stop, pos, end) + 1
+        if not cut:
+            return None
+        lines = data[pos:cut]
+        shape = lines
+        for suffix in _V1_SUFFIXES:
+            shape = shape.replace(suffix, b"\n")
+        if shape != _v1_skeleton(start, stop - start):
+            return None
+        # Each line must hold exactly one code: a total count would miss a
+        # line with no state word beside one with two, as in `port 5 closed
+        # open`, whose cut words cascade to `port 5`.
+        marks = lines.translate(_V1_MARKS, _V1_UNMARKED)
+        run_codes = marks[::2]
+        if len(marks) != 2 * (stop - start) or b"\n" in run_codes:
+            return None
+        codes += run_codes
+        pos = cut
+    return lo, codes, end
+
+
 def _v1_ports(data: bytes, pos: int, addr) -> tuple:
     """The `first` and codes of the v1 port lines at `pos`, and where they end."""
+    stretch = _v1_stretch(data, pos)
+    if stretch is not None:
+        return stretch
     first, codes = 0, bytearray()
     while run := _V1_PORTS.match(data, pos):
         words = run[0].split()
@@ -126,11 +197,8 @@ def _v1_ports(data: bytes, pos: int, addr) -> tuple:
         if lo < first + len(codes) or not all(map(lt, ports, ports[1:])):
             raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
         codes += bytes(hi - first + 1 - len(codes))
-        if hi - lo + 1 == len(ports):  # strictly ascending, so consecutive
-            codes[lo - first:] = run_codes
-        else:
-            for port, code in zip(ports, run_codes):
-                codes[port - first] = code
+        for port, code in zip(ports, run_codes):
+            codes[port - first] = code
         pos = run.end()
     return first, codes, pos
 

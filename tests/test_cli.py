@@ -48,9 +48,10 @@ def run(argv):
 
 
 def common(ws, scn="net.scn", state="state"):
-    return ["--config", str(ws / "edge.conf"),
-            "--backend", f"sim:{ws / scn}",
-            "--state-dir", str(ws / state)]
+    """The config and backend flags, and the store's unless `state` is None
+    (`scan` has no store)."""
+    flags = ["--config", str(ws / "edge.conf"), "--backend", f"sim:{ws / scn}"]
+    return flags + ["--state-dir", str(ws / state)] if state else flags
 
 
 class TestBaselineAndMonitor:
@@ -117,8 +118,9 @@ class TestBaselineAndMonitor:
         monkeypatch.setattr(OsNetwork, "icmp_ping",
                             lambda self, target, timeout: probes.append(target) or ProbeReply(False))
         for command in ("baseline", "scan", "monitor"):
+            store = [] if command == "scan" else ["--state-dir", str(ws / "state")]
             code, _ = run([command, "--syn", "--backend", "os", "--range", "192.0.2.1-192.0.2.3",
-                           "--state-dir", str(ws / "state")])
+                           *store])
             assert code == 2, command
         assert probes == []
         assert not list((ws / "state").glob("*.trusted.fp"))
@@ -127,7 +129,7 @@ class TestBaselineAndMonitor:
 class TestScan:
     def test_scan_prints_hosts_and_writes_fingerprint(self, ws):
         out_file = ws / "scan.fp"
-        code, text = run(["scan", "--out", str(out_file)] + common(ws))
+        code, text = run(["scan", "--out", str(out_file)] + common(ws, state=None))
         assert code == 0
         assert "host 10.0.0.1 up open=[5]" in text
         assert "host 10.0.0.2 silent open=[]" in text
@@ -158,7 +160,7 @@ class TestScan:
 class TestDiff:
     def fingerprint(self, ws, name, scn, extra=()):
         path = ws / name
-        code, _ = run(["scan", "--out", str(path)] + common(ws, scn) + list(extra))
+        code, _ = run(["scan", "--out", str(path)] + common(ws, scn, state=None) + list(extra))
         assert code == 0
         return path
 
@@ -334,7 +336,7 @@ EXIT_CODE_ROWS = [
     ("simulate", "unusable state dir", _plain_file,
      lambda ws: _simulate(ws, "net.scn", "--state-dir", str(ws / "plain" / "sub")), 3),
     ("scan", "unwritable out file", _plain_file,
-     lambda ws: ["scan", "--out", str(ws / "plain" / "a.fp")] + common(ws), 3),
+     lambda ws: ["scan", "--out", str(ws / "plain" / "a.fp")] + common(ws, state=None), 3),
     ("monitor", "corrupt trusted baseline", _corrupt_baseline,
      lambda ws: ["monitor", "--epochs", "1"] + common(ws), 5),
     ("monitor", "baseline not marked trusted", _untrusted_baseline,
@@ -344,7 +346,7 @@ EXIT_CODE_ROWS = [
     ("rebaseline", "missing scenario", None,
      lambda ws: ["rebaseline", "--force"] + common(ws, "missing.scn"), 6),
     ("scan", "missing scenario", None,
-     lambda ws: ["scan"] + common(ws, "missing.scn"), 6),
+     lambda ws: ["scan"] + common(ws, "missing.scn", state=None), 6),
     ("monitor", "missing scenario", _baseline,
      lambda ws: ["monitor", "--epochs", "1"] + common(ws, "missing.scn"), 6),
     ("simulate", "missing scenario", None,
@@ -367,7 +369,7 @@ EXIT_CODE_ROWS = [
      lambda ws: ["scan", "--config", str(ws / "bad.conf"),
                  "--backend", f"sim:{ws / 'net.scn'}"], 2),
     ("scan", "port range with no upper end", None,
-     lambda ws: ["scan", "--ports", "1-"] + common(ws), 2),
+     lambda ws: ["scan", "--ports", "1-"] + common(ws, state=None), 2),
     ("simulate", "backend given", None,
      lambda ws: _simulate(ws, "net.scn", "--backend", f"sim:{ws / 'change.scn'}"), 2),
     # a factor no ratio reaches: LatencyAnomaly would be off without a word
@@ -440,8 +442,28 @@ class TestSinkWiring:
         assert not log.exists()
 
 
+# each flag a command would accept and ignore: scan keeps no store, and
+# neither scan nor the baseline commands send events
+@pytest.mark.parametrize("command, flag, value", [
+    ("scan", "--state-dir", "{ws}/D"), ("scan", "--sink", "file:{ws}/X"),
+    ("scan", "--node-id", "n9"),
+    ("baseline", "--sink", "file:{ws}/X"), ("baseline", "--node-id", "n9"),
+    ("rebaseline", "--sink", "file:{ws}/X"), ("rebaseline", "--node-id", "n9"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(ws, capsys, command, flag, value):
+    before = sorted(ws.rglob("*"))
+    argv = [command, *(["--force"] if command == "rebaseline" else []),
+            *common(ws, state=None if command == "scan" else "state"),
+            flag, value.format(ws=ws)]
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(ws.rglob("*")) == before
+
+
 def test_simulate_defaults_leave_the_live_commands_alone(ws, monkeypatch, capsys):
-    # every scanning command shares one set of common flags; simulate's
+    # the scanning commands share their flag sets; simulate's
     # throwaway state dir and scenario backend must not become the defaults
     # of the live commands, which store in ./edgemap-state and probe through
     # the os backend
