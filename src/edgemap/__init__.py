@@ -6,11 +6,11 @@ every deviation.  Runs against real networks (OS sockets) or a scripted,
 fully deterministic simulated network on a virtual clock.
 """
 
-from .model import (AddressRange, Alive, EventKind, HostRecord, IntrusionEvent,
+from .model import (AddressRange, EventKind, HostRecord, IntrusionEvent,
                     NetworkFingerprint, PortState, ScanConfig, config_digest)
 
 __all__ = [
-    "AddressRange", "Alive", "EventKind", "HostRecord", "IntrusionEvent",
+    "AddressRange", "EventKind", "HostRecord", "IntrusionEvent",
     "NetworkFingerprint", "PortState", "ScanConfig", "config_digest",
 ]
 

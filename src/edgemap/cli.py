@@ -25,7 +25,7 @@ from . import scenario as scenario_mod
 from .diffing import classify_scenario, diff
 from .errors import (CapabilityUnsupported, CorruptRecord, IncomparableFingerprints,
                      MalformedScript, NotFound, TransportDown, TrustedAlreadyExists)
-from .model import AddressRange, ScanConfig, config_digest
+from .model import OPEN_CODE, AddressRange, ScanConfig, config_digest
 from .osnet import OsNetwork
 from .probe import full_sweep
 from .rng import Prng
@@ -201,9 +201,9 @@ def cmd_scan(args, out) -> int:
     transport, fp = _sweep(args, build_config(args))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        open_ports = ",".join(str(p) for p in sorted(rec.ports)
-                              if rec.ports[p].value == "open")
-        print(f"host {addr} {rec.alive.value} open=[{open_ports}]", file=out)
+        first, codes = rec.ports.first, rec.ports.codes
+        open_ports = ",".join(str(first + i) for i, code in enumerate(codes) if code == OPEN_CODE)
+        print(f"host {addr} {rec.alive} open=[{open_ports}]", file=out)
     print(f"scan {_summary(fp, transport)}", file=out)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -280,8 +280,7 @@ def cmd_simulate(args, out) -> int:
     if args.rates != "none":
         _print_rates(transport.counters, out)
     _print_peaks(transport.counters, out)
-    tags = classify_scenario(sink.kinds)
-    print("tags " + ",".join(sorted(tag.value for tag in tags)), file=out)
+    print("tags " + ",".join(sorted(classify_scenario(sink.kinds))), file=out)
     return EXIT_OK
 
 

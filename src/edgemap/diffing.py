@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import statistics
-from enum import Enum
 from itertools import compress, count
 from operator import ne
 
@@ -67,10 +66,10 @@ def diff_host(addr, base, cur, config: ScanConfig) -> list:
     """
     if base is None:
         return [IntrusionEvent(kind=EventKind.HOST_ADDED, address=addr,
-                               baseline_value="absent", observed_value=cur.alive.value)]
+                               baseline_value="absent", observed_value=cur.alive)]
     if cur is None:
         return [IntrusionEvent(kind=EventKind.HOST_REMOVED, address=addr,
-                               baseline_value=base.alive.value, observed_value="absent")]
+                               baseline_value=base.alive, observed_value="absent")]
     events = []
     if base.ports != cur.ports or base.banners != cur.banners:
         events = _port_events(addr, base, cur)
@@ -103,24 +102,16 @@ def diff(baseline: NetworkFingerprint, current: NetworkFingerprint, config: Scan
     return events
 
 
-class ScenarioTag(Enum):
-    NODE_REMOVED = "NodeRemoved"
-    SERVICE_CHANGED = "ServiceChanged"
-    NEW_DEVICE = "NewDevice"
-    MITM_SUSPECTED = "MitmSuspected"
-    NONE = "None"
-
-
 _TAG_BY_KIND = {
-    EventKind.HOST_REMOVED: ScenarioTag.NODE_REMOVED,
-    EventKind.PORT_OPENED: ScenarioTag.SERVICE_CHANGED,
-    EventKind.PORT_CLOSED: ScenarioTag.SERVICE_CHANGED,
-    EventKind.BANNER_CHANGED: ScenarioTag.SERVICE_CHANGED,
-    EventKind.HOST_ADDED: ScenarioTag.NEW_DEVICE,
-    EventKind.LATENCY_ANOMALY: ScenarioTag.MITM_SUSPECTED,
+    EventKind.HOST_REMOVED: "NodeRemoved",
+    EventKind.PORT_OPENED: "ServiceChanged",
+    EventKind.PORT_CLOSED: "ServiceChanged",
+    EventKind.BANNER_CHANGED: "ServiceChanged",
+    EventKind.HOST_ADDED: "NewDevice",
+    EventKind.LATENCY_ANOMALY: "MitmSuspected",
 }
 
 
 def classify_scenario(kinds) -> set:
-    """Map the event kinds a run raised onto advisory attack-scenario tags."""
-    return {_TAG_BY_KIND[kind] for kind in kinds} or {ScenarioTag.NONE}
+    """The advisory attack-scenario tags of the kinds a run raised; {"None"} if none."""
+    return {_TAG_BY_KIND[kind] for kind in kinds} or {"None"}

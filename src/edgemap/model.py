@@ -145,13 +145,6 @@ class PortTable(Mapping):
         return f"PortTable({dict(self.items())!r})"
 
 
-class Alive(Enum):
-    """A fingerprinted host's liveness; a Down host is never fingerprinted."""
-
-    UP = "up"               # answered ICMP echo
-    SILENT_UP = "silent"    # answered ARP but ignores ICMP echo
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """All knobs of one scanner instance.  Durations in microseconds."""
@@ -221,14 +214,17 @@ class HostRecord:
     banners: Mapping[int, bytes] = field(default_factory=dict)
 
     @property
-    def alive(self) -> Alive:
-        return Alive.UP if self.rtt_samples else Alive.SILENT_UP
+    def alive(self) -> str:
+        """`up` (answered ICMP echo) or `silent` (answered ARP only)."""
+        return "up" if self.rtt_samples else "silent"
 
     def __post_init__(self):
         if type(self.ports) is not PortTable:
             object.__setattr__(self, "ports", PortTable.from_mapping(self.ports))
+        first, codes = self.ports.first, self.ports.codes
         for port, banner in self.banners.items():
-            if self.ports.get(port) is not PortState.OPEN:
+            if not (type(port) is int and 0 <= port - first < len(codes)
+                    and codes[port - first] == OPEN_CODE):
                 raise ValueError(f"banner recorded for non-open port {port}")
             if not isinstance(banner, bytes):
                 raise ValueError("banners must be byte strings")

@@ -106,8 +106,7 @@ def run_monitor(config: ScanConfig, transport, store, sink,
 
         # each epoch number the loop passes takes epoch k - KEEP_EPOCHS with
         # it, stored or not; older leftovers of an earlier run go here, once
-        first = epoch = store.latest_epoch(digest) + 1
-        store.prune_epochs(digest, through=first - KEEP_EPOCHS)
+        first = epoch = store.resume_epochs(digest, KEEP_EPOCHS)
         while max_epochs is None or epoch - first < max_epochs:
             _wait(clock, config.rescan_interval, stop)
             schedule = make_schedule(config, rng)

@@ -58,7 +58,6 @@ import re
 import zlib
 from dataclasses import replace
 from operator import lt
-from pathlib import Path
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
 from .model import PORT_CODES, HostRecord, NetworkFingerprint, PortTable
@@ -78,7 +77,7 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
                     f"started {fp.started_at}\nfinished {fp.finished_at}\n".encode("ascii"))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        lines = [f"host {addr} {rec.alive.value}"]
+        lines = [f"host {addr} {rec.alive}"]
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
         first, codes = rec.ports.first, rec.ports.codes
@@ -299,8 +298,9 @@ def loads_fingerprint(data: bytes) -> NetworkFingerprint:
 class FingerprintStore:
     """Directory-backed fingerprint collection.
 
-    At most one trusted record exists per config digest.  The store marks
-    it trusted when it writes it, and writes it once: only a forced save
+    `directory` is a string path, and each record in it is named by its
+    config digest.  At most one trusted record exists per digest.  The store
+    marks it trusted when it writes it, and writes it once: only a forced save
     (`rebaseline --force`) replaces it, in the same rename that any write
     ends with, so a failed or cut replacement leaves the old record.
     Writes go through a temp file and atomic rename.  Only the trusted
@@ -309,15 +309,14 @@ class FingerprintStore:
     """
 
     def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        # Every path is a plain string, not a Path: pathlib (Python 3.11)
+        # interns every file name it parses, and one more interned name an
+        # epoch cost about 1 MB of peak memory over a few thousand epochs.
+        self.directory = os.fspath(directory)
+        os.makedirs(self.directory, exist_ok=True)
 
-    def _trusted_path(self, digest: int) -> Path:
-        return self.directory / f"{digest:016x}.trusted.fp"
-
-    @staticmethod
-    def _epoch_name(digest: int, epoch: int) -> str:
-        return f"{digest:016x}.epoch{epoch:06d}.fp"
+    def _path(self, digest: int, name: str) -> str:
+        return os.path.join(self.directory, f"{digest:016x}.{name}")
 
     def _write(self, path, fp: NetworkFingerprint, durable: bool = False) -> None:
         """Write through a temp file and a rename.
@@ -348,22 +347,22 @@ class FingerprintStore:
 
     def save_trusted(self, fp: NetworkFingerprint, *, force: bool = False) -> None:
         """Write fp as its config's trusted baseline (`trusted 1`); only `force` replaces one."""
-        path = self._trusted_path(fp.config_digest)
-        if path.exists() and not force:
+        path = self._path(fp.config_digest, "trusted.fp")
+        if os.path.exists(path) and not force:
             raise TrustedAlreadyExists(
                 f"trusted fingerprint already stored for digest {fp.config_digest:016x}")
         self._write(path, replace(fp, trusted=True), durable=True)
 
     def save_epoch(self, fp: NetworkFingerprint, epoch: int) -> None:
-        # plain string paths, as in delete_epoch
-        self._write(os.path.join(self.directory, self._epoch_name(fp.config_digest, epoch)), fp)
+        self._write(self._path(fp.config_digest, f"epoch{epoch:06d}.fp"), fp)
 
     def load_trusted(self, digest: int) -> NetworkFingerprint:
-        path = self._trusted_path(digest)
+        path = self._path(digest, "trusted.fp")
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError as exc:
-            raise NotFound(str(path)) from exc
+            raise NotFound(path) from exc
         fp = loads_fingerprint(data)
         if fp.config_digest != digest:
             raise CorruptRecord("stored digest does not match filename")
@@ -372,36 +371,34 @@ class FingerprintStore:
         return fp
 
     def has_trusted(self, digest: int) -> bool:
-        return self._trusted_path(digest).exists()
+        return os.path.exists(self._path(digest, "trusted.fp"))
 
-    def latest_epoch(self, digest: int) -> int:
-        """Highest epoch number stored for the digest, 0 when there is none,
-        read from the file names: a name sort would put epoch1000000 before
-        epoch999999."""
+    def resume_epochs(self, digest: int, keep: int) -> int:
+        """The digest's next epoch number: one past the highest stored, 1 when
+        none is, read from the file names (a name sort puts epoch1000000
+        before epoch999999).  The same listing deletes each epoch file of the
+        digest outside the newest `keep` numbers up to that one, and each
+        epoch temp file of the digest: only a write cut short (a kill, a power
+        cut) leaves one, and nothing else deletes it.  The trusted record's
+        temp file is left alone, as a concurrent `rebaseline` may write it."""
         prefix = f"{digest:016x}.epoch"
-        numbers = (path.name[len(prefix):-len(".fp")]
-                   for path in self.directory.glob(f"{prefix}*.fp"))
-        return max((int(n) for n in numbers if n.isdecimal()), default=0)
-
-    def prune_epochs(self, digest: int, through: int) -> None:
-        """Delete every epoch file of the digest numbered `through` or lower,
-        and in the same pass every epoch temp file of the digest.  Only a
-        write cut short (a kill, a power cut) leaves one, and nothing else
-        deletes it.  The trusted record's temp file is left alone, since a
-        concurrent `rebaseline` may be writing it."""
-        prefix = f"{digest:016x}.epoch"
-        for path in self.directory.glob(f"{prefix}*"):
-            number, _, suffix = path.name[len(prefix):].partition(".")
-            if number.isdecimal() and (suffix == "tmp"
-                                       or suffix == "fp" and int(number) <= through):
-                with contextlib.suppress(FileNotFoundError):
-                    path.unlink()
+        epochs, doomed = {}, []  # the epoch files by name, and the temp files
+        for name in os.listdir(self.directory):
+            number, _, suffix = name[len(prefix):].partition(".")
+            if name.startswith(prefix) and number.isdecimal():
+                if suffix == "fp":
+                    epochs[name] = int(number)
+                elif suffix == "tmp":
+                    doomed.append(name)
+        after = max(epochs.values(), default=0) + 1
+        doomed += [name for name, number in epochs.items() if number <= after - keep]
+        for name in doomed:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(self.directory, name))
+        return after
 
     def delete_epoch(self, digest: int, epoch: int) -> None:
-        # a plain string, not a Path: pathlib (Python 3.11) interns every
-        # file name it parses, and one more interned name an epoch cost
-        # about 1 MB of peak memory over a few thousand epochs
         try:
-            os.unlink(os.path.join(self.directory, self._epoch_name(digest, epoch)))
+            os.unlink(self._path(digest, f"epoch{epoch:06d}.fp"))
         except FileNotFoundError:
             pass

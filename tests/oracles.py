@@ -71,7 +71,7 @@ def dumps_v1(fp):
              f"finished {fp.finished_at}"]
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        lines.append(f"host {addr} {rec.alive.value}")
+        lines.append(f"host {addr} {rec.alive}")
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
         lines += [f"port {port} {state.value}" for port, state in rec.ports.items()]

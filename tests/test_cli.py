@@ -368,6 +368,12 @@ EXIT_CODE_ROWS = [
     ("scan", "config key given twice", _write("bad.conf", CONF + "port_range = 1-4\n"),
      lambda ws: ["scan", "--config", str(ws / "bad.conf"),
                  "--backend", f"sim:{ws / 'net.scn'}"], 2),
+    ("scan", "config line without =", _write("bad.conf", CONF + "syn_scan on\n"),
+     lambda ws: ["scan", "--config", str(ws / "bad.conf"),
+                 "--backend", f"sim:{ws / 'net.scn'}"], 2),
+    ("scan", "unknown backend", None,
+     lambda ws: ["scan", "--config", str(ws / "edge.conf"), "--backend", "pcap:eth0"], 2),
+    ("simulate", "unknown sink", None, lambda ws: _simulate(ws, "net.scn", "--sink", "syslog"), 2),
     ("scan", "port range with no upper end", None,
      lambda ws: ["scan", "--ports", "1-"] + common(ws, state=None), 2),
     ("simulate", "backend given", None,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from edgemap.diffing import ScenarioTag, classify_scenario, diff
+from edgemap.diffing import classify_scenario, diff
 from edgemap.errors import IncomparableFingerprints
 from edgemap.model import EventKind, HostRecord, NetworkFingerprint, PortState
 from conftest import random_fingerprint, random_host_record, small_config
@@ -210,17 +210,17 @@ class TestOracleEquivalence:
 
 class TestClassifyScenario:
     def test_empty_is_none(self):
-        assert classify_scenario(set()) == {ScenarioTag.NONE}
+        assert classify_scenario(set()) == {"None"}
 
     def test_each_kind_maps_to_its_tag(self):
-        assert classify_scenario({EventKind.HOST_REMOVED}) == {ScenarioTag.NODE_REMOVED}
-        assert classify_scenario({EventKind.HOST_ADDED}) == {ScenarioTag.NEW_DEVICE}
+        assert classify_scenario({EventKind.HOST_REMOVED}) == {"NodeRemoved"}
+        assert classify_scenario({EventKind.HOST_ADDED}) == {"NewDevice"}
         assert classify_scenario({EventKind.LATENCY_ANOMALY}) == \
-            {ScenarioTag.MITM_SUSPECTED}
+            {"MitmSuspected"}
         for kind in (EventKind.PORT_OPENED, EventKind.PORT_CLOSED,
                      EventKind.BANNER_CHANGED):
-            assert classify_scenario({kind}) == {ScenarioTag.SERVICE_CHANGED}
+            assert classify_scenario({kind}) == {"ServiceChanged"}
 
     def test_mixed_events_collect_tags(self):
         tags = classify_scenario({EventKind.HOST_ADDED, EventKind.PORT_OPENED})
-        assert tags == {ScenarioTag.NEW_DEVICE, ScenarioTag.SERVICE_CHANGED}
+        assert tags == {"NewDevice", "ServiceChanged"}

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import ipaddress
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edgemap.model import (AddressRange, Alive, EventKind, HostRecord,
+from edgemap.model import (AddressRange, EventKind, HostRecord,
                            IntrusionEvent, NetworkFingerprint, PortState,
                            PortTable, ScanConfig, config_digest)
 from conftest import small_config
@@ -121,15 +122,26 @@ class TestConfigDigest:
 
 class TestHostRecord:
     def test_liveness_follows_the_samples(self):
-        assert HostRecord(rtt_samples=(100,)).alive is Alive.UP
-        assert HostRecord(ports={22: PortState.OPEN}).alive is Alive.SILENT_UP
-        assert [alive.value for alive in Alive] == ["up", "silent"]
+        assert HostRecord(rtt_samples=(100,)).alive == "up"
+        assert HostRecord(ports={22: PortState.OPEN}).alive == "silent"
         with pytest.raises(TypeError):  # liveness is no field
-            HostRecord(alive=Alive.UP)
+            HostRecord(alive="up")
 
     def test_banner_requires_open_port(self):
         with pytest.raises(ValueError):
             HostRecord(rtt_samples=(9,), ports={22: PortState.CLOSED}, banners={22: b"x"})
+
+    @pytest.mark.parametrize("banners, error", [
+        ({22: "x"}, "banners must be byte strings"),
+        ({21: b"x"}, "banner recorded for non-open port 21"),
+        ({23: b"x"}, "banner recorded for non-open port 23"),
+        ({24: b"x"}, "banner recorded for non-open port 24"),
+        ({"22": b"x"}, "banner recorded for non-open port 22"),
+        ({22.0: b"x"}, "banner recorded for non-open port 22.0"),
+    ])
+    def test_a_banner_is_bytes_on_an_open_port(self, banners, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            HostRecord(ports={22: PortState.OPEN, 23: PortState.CLOSED}, banners=banners)
 
     def test_valid_record(self):
         rec = HostRecord(rtt_samples=(400, 500, 900),
@@ -194,6 +206,7 @@ class TestPortTable:
         {0: PortState.OPEN},
         {65536: PortState.CLOSED},
         {22.0: PortState.OPEN},
+        {21: PortState.OPEN, 22.5: PortState.CLOSED, 23: PortState.OPEN},
     ])
     def test_a_bad_port_or_state_raises_value_error(self, ports):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import ipaddress
 import pytest
 
 from edgemap import probe
-from edgemap.model import Alive, PortState, config_digest
+from edgemap.model import PortState, config_digest
 from edgemap.scheduler import make_schedule
 from edgemap.rng import Prng
 from edgemap.simnet import SimHostSpec, SimNetwork
@@ -135,11 +135,11 @@ class TestFullSweep:
         )
         fp = probe.full_sweep(cfg, net, schedule)
         assert set(fp.hosts) == {A("10.0.0.1"), A("10.0.0.2")}
-        assert fp.hosts[A("10.0.0.1")].alive is Alive.UP
+        assert fp.hosts[A("10.0.0.1")].alive == "up"
         assert fp.hosts[A("10.0.0.1")].ports[5] is PortState.OPEN
         assert fp.hosts[A("10.0.0.1")].banners[5] == b"hi"
         # silent hosts are recorded but not port-scanned by default
-        assert fp.hosts[A("10.0.0.2")].alive is Alive.SILENT_UP
+        assert fp.hosts[A("10.0.0.2")].alive == "silent"
         assert fp.hosts[A("10.0.0.2")].ports == {}
         assert fp.config_digest == config_digest(cfg)
         assert not fp.trusted

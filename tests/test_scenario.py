@@ -97,12 +97,19 @@ def test_build_returns_working_network():
     assert scenario.loads("at 1s remove-host 10.0.0.1\nhost 10.0.0.1 port=22\n") == sc
 
 
+def test_a_scaled_rtt_is_at_least_one_microsecond():
+    net = scenario.loads("host 10.0.0.1 rtt=1us\nat 1s set-latency 10.0.0.1 0.5\n").build(seed=0)
+    net.clock.advance_to(SEC)
+    assert net.icmp_ping(A("10.0.0.1"), SEC).rtt == 1
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("frob 10.0.0.1\n", "line 1"),
     ("host\n", "line 1"),
     ("host 10.0.0.999\n", "bad IPv4"),
     ("host 10.0.0.1 bogus=1\n", "unknown host key"),
     ("host 10.0.0.1 mac=02:00:00:00:00:01\n", "unknown host key"),
+    ("host 10.0.0.1 bogus\n", "line 1: expected key=value, got 'bogus'"),
     ("host 10.0.0.1 modbus=Acme,PLC,v1\n", "unknown host key"),
     ("host 10.0.0.1 arp=maybe\n", "expected on/off"),
     ("host 10.0.0.1 rtt=fast\n", "line 1"),
@@ -111,6 +118,8 @@ def test_build_returns_working_network():
     ("at soon remove-host 10.0.0.1\n", "line 1"),
     ("at 1s warp-host 10.0.0.1\n", "unknown action"),
     ("at 1s open-port 10.0.0.1\n", "at least 2"),
+    ("host 10.0.0.1\nat 1s open-port 10.0.0.1 22 color=red\n",
+     "line 2: unknown open-port key 'color'"),
     ("host 10.0.0.1\nat 2s remove-host 10.0.0.1\nat 1s set-arp 10.0.0.1 off\n",
      "non-decreasing"),
     ('host 10.0.0.1 port=22:"unterminated\n', "line 1"),

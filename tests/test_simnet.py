@@ -425,3 +425,7 @@ class TestSpecValidation:
     def test_nonpositive_rtt_rejected(self):
         with pytest.raises(ValueError):
             SimHostSpec(address=A("10.0.0.1"), base_rtt=0)
+
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(ValueError, match="^rtt_jitter cannot be negative$"):
+            SimHostSpec(address=A("10.0.0.1"), rtt_jitter=-1)

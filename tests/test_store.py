@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from edgemap import store
 from edgemap.errors import CorruptRecord, NotFound, TrustedAlreadyExists
-from edgemap.model import PORT_CODES, Alive, HostRecord, NetworkFingerprint, PortState
+from edgemap.model import PORT_CODES, HostRecord, NetworkFingerprint, PortState
+from edgemap.scheduler import KEEP_EPOCHS
 from edgemap.store import (FingerprintStore, dumps_fingerprint,
                            loads_fingerprint)
 from conftest import random_fingerprint
@@ -105,9 +106,9 @@ def host_records(draw):
     unprobed; states come from a drawn seed, since drawing 65,535 of them
     one by one is slow.  Each port keeps the state of the one below it with
     chance `stay`, so runs are short, long, or span the whole stretch."""
-    alive = draw(st.sampled_from([Alive.UP, Alive.SILENT_UP]))
+    alive = draw(st.sampled_from(["up", "silent"]))
     rtt = ()
-    if alive is Alive.UP:
+    if alive == "up":
         rtt = tuple(draw(st.lists(st.integers(0, 10**7), min_size=1, max_size=4)))
     count = draw(st.integers(0, 65535))
     gaps = draw(st.integers(0, 65535 - count))
@@ -434,6 +435,7 @@ class TestCorruptionDetection:
          "bad header line 'edgemap-fingerprint v3'"),
         (b"end\n", b"", "record missing end marker"),
         (b"end\n", b"bogus\nend\n", "unexpected line 'bogus'"),
+        (b"host 10.0.0.1 up", b"host 10.0.0.256 up", "bad host address '10.0.0.256'"),
     ])
     def test_the_error_names_what_is_wrong(self, old, new, error):
         body = dumps_fingerprint(sample_fp()).rsplit(b"checksum", 1)[0]
@@ -553,7 +555,7 @@ class TestFingerprintStore:
         second = dataclasses.replace(first, finished_at=9999)
         store.save_epoch(first, 1)
         store.save_epoch(second, 2)
-        assert store.latest_epoch(first.config_digest) == 2
+        assert store.resume_epochs(first.config_digest, KEEP_EPOCHS) == 3
         assert read_epoch(tmp_path, first.config_digest, 1) == first
         assert read_epoch(tmp_path, first.config_digest, 2) == second
 
@@ -562,11 +564,28 @@ class TestFingerprintStore:
         store = FingerprintStore(tmp_path)
         first = sample_fp()
         second = dataclasses.replace(first, finished_at=9999)
-        assert store.latest_epoch(first.config_digest) == 0
+        assert store.resume_epochs(first.config_digest, KEEP_EPOCHS) == 1
         store.save_epoch(first, 999_999)
         store.save_epoch(second, 1_000_000)
-        assert store.latest_epoch(first.config_digest) == 1_000_000
+        assert store.resume_epochs(first.config_digest, KEEP_EPOCHS) == 1_000_001
         assert read_epoch(tmp_path, first.config_digest, 1_000_000) == second
+
+    def test_resume_keeps_the_window_and_numbers_on(self, tmp_path):
+        store = FingerprintStore(tmp_path)
+        fp = sample_fp()
+        digest = fp.config_digest
+        for epoch in range(1, 6):
+            store.save_epoch(fp, epoch)
+        store.save_epoch(dataclasses.replace(fp, config_digest=digest + 1), 1)
+        # a cut epoch write, numbered above every stored epoch, and the
+        # trusted record's temp file, which a concurrent rebaseline may own
+        (tmp_path / f"{digest:016x}.epoch000009.tmp").write_bytes(b"cut")
+        (tmp_path / f"{digest:016x}.trusted.tmp").write_bytes(b"in flight")
+        assert store.resume_epochs(digest, keep=3) == 6
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{digest:016x}.epoch000004.fp", f"{digest:016x}.epoch000005.fp",
+            f"{digest:016x}.trusted.tmp", f"{digest + 1:016x}.epoch000001.fp"]
+        assert FingerprintStore(tmp_path / "empty").resume_epochs(digest, keep=3) == 1
 
     def test_missing_records_raise_not_found(self, tmp_path):
         store = FingerprintStore(tmp_path)
