@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import re
 import statistics
-from itertools import compress, count
-from operator import ne
 
 from .errors import IncomparableFingerprints
 from .model import (OPEN_CODE, PORT_STATES, EventKind, IntrusionEvent,
-                    NetworkFingerprint, PortState, ScanConfig)
+                    NetworkFingerprint, ScanConfig)
 from .timebase import format_duration
+
+
+_NONZERO = re.compile(rb"[^\x00]")  # a byte of a port whose codes differ, in their XOR
 
 
 def _describe_banner(banner) -> str:
@@ -23,17 +25,20 @@ def _port_events(addr, base, cur) -> list:
     """PortOpened, PortClosed and BannerChanged events of one host.
 
     Only ports probed by both scans count.  The ports whose codes differ
-    are found over the overlap of the two tables' spans; a banner can
-    differ only where one side recorded one.
+    are the nonzero bytes of the XOR of the two tables' codes over the
+    overlap of their spans, found in C; a banner can differ only at a port
+    of an item in one side's banners and not in the other's, and counts
+    only where the codes say open on both sides.
     """
     events = []
     old, new = base.ports, cur.ports
     old_codes, new_codes = old.codes, new.codes
     lo = max(old.first, new.first)
     hi = max(lo, min(old.first + len(old_codes), new.first + len(new_codes)))
-    differing = map(ne, old_codes[lo - old.first:hi - old.first],
-                    new_codes[lo - new.first:hi - new.first])
-    for port in compress(count(lo), differing):
+    differing = (int.from_bytes(old_codes[lo - old.first:hi - old.first], "big")
+                 ^ int.from_bytes(new_codes[lo - new.first:hi - new.first], "big"))
+    for at in _NONZERO.finditer(differing.to_bytes(hi - lo, "big")):
+        port = lo + at.start()
         was = old_codes[port - old.first]
         now = new_codes[port - new.first]
         if was and now and OPEN_CODE in (was, now):
@@ -41,15 +46,13 @@ def _port_events(addr, base, cur) -> list:
                 kind=EventKind.PORT_OPENED if now == OPEN_CODE else EventKind.PORT_CLOSED,
                 address=addr, port=port, baseline_value=PORT_STATES[was]._value_,
                 observed_value=PORT_STATES[now]._value_))
-    for port in base.banners.keys() | cur.banners.keys():
-        before = base.banners.get(port)
-        after = cur.banners.get(port)
-        if (before != after and old.get(port) is PortState.OPEN
-                and new.get(port) is PortState.OPEN):
+    for port in {port for port, _ in base.banners.items() ^ cur.banners.items()}:
+        if (lo <= port < hi
+                and old_codes[port - old.first] == new_codes[port - new.first] == OPEN_CODE):
             events.append(IntrusionEvent(
                 kind=EventKind.BANNER_CHANGED, address=addr, port=port,
-                baseline_value=_describe_banner(before),
-                observed_value=_describe_banner(after)))
+                baseline_value=_describe_banner(base.banners.get(port)),
+                observed_value=_describe_banner(cur.banners.get(port))))
     return events
 
 

@@ -260,9 +260,11 @@ class EventKind(Enum):
     LATENCY_ANOMALY = "LatencyAnomaly"
 
 
-_KIND_RANK = {kind: rank for rank, kind in enumerate(EventKind)}
+# keyed by `kind._value_`, as PORT_CODES is by the state's, so no lookup calls Enum.__hash__
+_KIND_RANK = {kind._value_: rank for rank, kind in enumerate(EventKind)}
 
-_PORT_KINDS = {EventKind.PORT_OPENED, EventKind.PORT_CLOSED, EventKind.BANNER_CHANGED}
+_PORT_KINDS = {kind._value_ for kind in (EventKind.PORT_OPENED, EventKind.PORT_CLOSED,
+                                         EventKind.BANNER_CHANGED)}
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,12 @@ class IntrusionEvent:
     observed_value: str = ""
 
     def __post_init__(self):
-        if self.kind in _PORT_KINDS:
+        if self.kind._value_ in _PORT_KINDS:
             if self.port is None:
                 raise ValueError(f"{self.kind.value} requires a port")
         elif self.port is not None:
             raise ValueError(f"{self.kind.value} must not carry a port")
 
     def sort_key(self):
-        return (int(self.address), _KIND_RANK[self.kind], -1 if self.port is None else self.port)
+        return (int(self.address), _KIND_RANK[self.kind._value_],
+                -1 if self.port is None else self.port)

@@ -44,8 +44,11 @@ same layout but one `port` line per probed port, and no `ports` lines.
 A v1 record, such as the trusted baseline of a node set up before v2,
 loads to the same fingerprint as its v2 record.  A host's v1 port lines
 for one consecutive stretch of ports, as every sweep wrote them, are
-read 1,024 lines at a time as blocks of bytes; any other port lines one
-line at a time, by the reader that gives every v1 refusal its message.
+read 1,024 lines at a time as blocks of bytes: a block is taken when
+rewriting its lines' other state words to its most common one leaves
+`port <p> <that state>` for each of its ports, and only those other
+lines are rewritten.  Any other port lines are read one line at a time,
+by the reader that gives every v1 refusal its message.
 """
 
 from __future__ import annotations
@@ -118,22 +121,26 @@ _TRAILER = re.compile(rb"checksum ([0-9a-f]{8})\n")
 
 # The bulk step of the v1 reader, for a host's port lines that are one
 # consecutive stretch of ports.  It works 1,024 lines at a time, so what
-# it allocates, and the skeletons it keeps, stay within tens of KB.
-# Cutting the state words off a block of lines must leave the skeleton
-# `port lo\nport lo+1\n...` of its ports; each state word has exactly one
-# of `n`, `c` and `f`, and `port` and the digits have none, so one
-# translate gives each line's code.
+# it allocates, and the blocks it keeps, stay within tens of KB.  Each
+# state word has exactly one of `n`, `c` and `f`, and `port` and the
+# digits have none, so one translate gives each line's code.  The check
+# then rewrites only the lines not in the block's most common state: each
+# other state's ` <word>\n` becomes the common one's, which must leave the
+# lines `port p <common>\n` of its ports.  A match of ` <word>\n` ends at
+# its line's newline and no rewrite makes one, so a rewritten line is
+# `port p <common>\n` only if it was `port p <a state word>\n`.
 _V1_PORT = re.compile(rb"port ([1-9][0-9]{0,4}) ")  # a line's port, as the writer wrote it
 _V1_BLOCK_END = re.compile(rb"\n[^p]")  # the end of the last line starting with `p`
-_V1_SUFFIXES = tuple(b" %s\n" % name.encode() for name in PORT_CODES)
+# each state's line end, by its code
+_V1_ENDS = {code: b" %s\n" % name.encode() for name, code in PORT_CODES.items()}
 _V1_MARKS = bytes.maketrans(b"ncf", bytes(map(PORT_CODES.get, ("open", "closed", "filtered"))))
 _V1_UNMARKED = bytes(byte for byte in range(256) if byte not in b"ncf\n")
 
 
-@functools.lru_cache(maxsize=4)  # a port range of up to 4,096 ports; 11 KB each at most
-def _v1_skeleton(lo: int, count: int) -> bytes:
-    """The v1 port lines of ports lo to lo + count - 1, with their state words cut."""
-    return b"port %d\n" * count % tuple(range(lo, lo + count))
+@functools.lru_cache(maxsize=2)  # a sweep's blocks: mostly closed or mostly filtered; 20 KB each
+def _v1_block(lo: int, count: int, code: int) -> bytes:
+    """The v1 port lines of ports lo to lo + count - 1, all in the state of `code`."""
+    return (b"port %d" + _V1_ENDS[code]) * count % tuple(range(lo, lo + count))
 
 
 def _v1_stretch(data: bytes, pos: int):
@@ -163,17 +170,13 @@ def _v1_stretch(data: bytes, pos: int):
         if not cut:
             return None
         lines = data[pos:cut]
-        shape = lines
-        for suffix in _V1_SUFFIXES:
-            shape = shape.replace(suffix, b"\n")
-        if shape != _v1_skeleton(start, stop - start):
-            return None
-        # Each line must hold exactly one code: a total count would miss a
-        # line with no state word beside one with two, as in `port 5 closed
-        # open`, whose cut words cascade to `port 5`.
-        marks = lines.translate(_V1_MARKS, _V1_UNMARKED)
-        run_codes = marks[::2]
-        if len(marks) != 2 * (stop - start) or b"\n" in run_codes:
+        # each line's code, then its newline, once the check below holds
+        run_codes = lines.translate(_V1_MARKS, _V1_UNMARKED)[::2]
+        common = max(_V1_ENDS, key=run_codes.count)
+        for code, line_end in _V1_ENDS.items():
+            if code != common:
+                lines = lines.replace(line_end, _V1_ENDS[common])
+        if lines != _v1_block(start, stop - start, common):
             return None
         codes += run_codes
         pos = cut

@@ -1,14 +1,17 @@
 import dataclasses
+import io
 import ipaddress
 import random
 
 import pytest
 
+from edgemap import cli
 from edgemap.diffing import classify_scenario, diff
 from edgemap.errors import IncomparableFingerprints
 from edgemap.model import EventKind, HostRecord, NetworkFingerprint, PortState
+from edgemap.store import dumps_fingerprint
 from conftest import random_fingerprint, random_host_record, small_config
-from oracles import brute_force_diff, event_tuples
+from oracles import brute_force_diff, dumps_v1, event_tuples
 
 A = ipaddress.IPv4Address
 
@@ -201,6 +204,45 @@ class TestOracleEquivalence:
             expected = brute_force_diff(base, cur, CFG.rtt_anomaly_factor,
                                         CFG.rtt_anomaly_floor)
             assert event_tuples(diff(base, cur, CFG)) == expected
+
+    def test_a_compare_sized_pair_matches_brute_force(self, tmp_path):
+        """Eight hosts x 1,024 ports: states flipped among all three,
+        banners changed, added and removed on ports open on both sides,
+        banners on ports open on one side only, and one host whose two
+        spans are disjoint.  Its v1 and v2 records diff to the same lines."""
+        rnd = random.Random(1024)
+        base_hosts, cur_hosts = {}, {}
+        for i in range(1, 9):
+            ports = dict(zip(range(1, 1025), rnd.choices(list(PortState), (5, 80, 15), k=1024)))
+            new = dict(ports)
+            for p in rnd.sample(sorted(ports), 64):
+                new[p] = rnd.choice([s for s in PortState if s is not ports[p]])
+            banners = {p: b"svc %d" % p for p, s in ports.items()
+                       if s is PortState.OPEN and rnd.random() < 0.8}
+            new_banners = {p: b"svc %d" % p for p, s in new.items()
+                           if s is PortState.OPEN and rnd.random() < 0.8}
+            for p in rnd.sample(sorted(set(banners) & set(new_banners)), 4):
+                new_banners[p] = b"svc %d patched" % p
+            if i == 8:
+                new = {p + 1024: s for p, s in new.items()}
+                new_banners = {p + 1024: b for p, b in new_banners.items()}
+            base_hosts[A(f"10.0.0.{i}")] = HostRecord((500,), ports, banners)
+            cur_hosts[A(f"10.0.0.{i}")] = HostRecord((500,), new, new_banners)
+        base, cur = fp(base_hosts.items(), trusted=True), fp(cur_hosts.items())
+        events = diff(base, cur, CFG)
+        expected = brute_force_diff(base, cur, CFG.rtt_anomaly_factor, CFG.rtt_anomaly_floor)
+        assert event_tuples(events) == expected and len(events) == len(expected)
+        assert {kind for _, kind, _ in expected} == {"PortOpened", "PortClosed", "BannerChanged"}
+        outputs = []
+        for dumps in (dumps_fingerprint, dumps_v1):
+            paths = [tmp_path / f"{side}.fp" for side in "ab"]
+            for path, side in zip(paths, (base, cur)):
+                path.write_bytes(dumps(side))
+            out = io.StringIO()
+            assert cli.main(["diff", *map(str, paths), "--format", "lines"], out) == 1
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == len(events)
 
     def test_self_diff_is_always_empty(self, rnd):
         for _ in range(100):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import ipaddress
 import itertools
@@ -188,11 +189,32 @@ class TestCodecProperties:
             loads_fingerprint(seal(b"\n".join(moved) + b"\n"))
 
 
-def v1_stretch(count, lo=1):
-    """The v1 port lines of ports lo to lo + count - 1, in seeded states."""
+STATE_WORDS = [b"open", b"closed", b"filtered"]
+
+
+def v1_stretch(count, lo=1, weights=None):
+    """The v1 port lines of ports lo to lo + count - 1, in seeded states:
+    uniform, or drawn with `weights(port)` of open, closed and filtered."""
     rnd = random.Random(count)
-    return [b"port %d %s" % (port, rnd.choice([b"open", b"closed", b"filtered"]))
+    return [b"port %d %s" % (port, rnd.choice(STATE_WORDS) if weights is None
+                             else rnd.choices(STATE_WORDS, weights(port))[0])
             for port in range(lo, lo + count)]
+
+
+def tied_stretch(count):
+    """The v1 port lines of ports 1 to count, as many closed as filtered."""
+    words = [b"closed", b"filtered"] * (count // 2)
+    random.Random(count).shuffle(words)
+    return [b"port %d %s" % (port, word) for port, word in enumerate(words, 1)]
+
+
+def block_words(lines, index):
+    """The most common state word in the 1,024-line block holding
+    lines[index], and its least common one."""
+    start = index - index % 1024
+    counts = collections.Counter(line.rsplit(b" ", 1)[-1] for line in lines[start:start + 1024])
+    return (max(STATE_WORDS, key=counts.__getitem__),
+            min(STATE_WORDS, key=counts.__getitem__))
 
 
 def v1_record(lines):
@@ -238,6 +260,16 @@ V1_EDITS = {
     "the first port +1": at(0, b"port +1 closed"),
     "the last port with an underscore":
         lambda lines: lines[:-1] + [b"port %s closed" % f"{len(lines):_}".encode()],
+    # the bulk step rewrites the state words other than the block's most common one
+    "open twice on a line": at(500, b"port 501 open open"),
+    "a minority word, then the majority word":
+        lambda lines: at(500, b"port 501 %s %s" % block_words(lines, 500)[::-1])(lines),
+    "the majority word, then a minority word":
+        lambda lines: at(500, b"port 501 %s %s" % block_words(lines, 500))(lines),
+    "no space before the state word": at(500, b"port 501open"),
+    "a minority word on the last line":
+        lambda lines: lines[:-1] + [b"port %d %s" % (len(lines),
+                                                      block_words(lines, len(lines) - 1)[1])],
     "a \\x01 byte inside a line": at(500, b"port 501 \x01open"),
     "a ports line inside": lambda lines: lines[:500] + [b"ports 501-503 closed"] + lines[503:],
     "a ports line after": lambda lines: lines + [b"ports %d-%d open" % (len(lines) + 1,
@@ -250,9 +282,22 @@ V1_EDITS = {
 }
 
 
-@pytest.fixture(scope="module", params=[1024, 65535], ids=["1024-ports", "65535-ports"])
+# stretches of ports from 1: uniform states, and shapes of real sweeps
+STRETCHES = {
+    "1024-ports": lambda: v1_stretch(1024),
+    "65535-ports": lambda: v1_stretch(65535),
+    "1024-ports-95pc-closed": lambda: v1_stretch(1024, weights=lambda port: (2, 95, 3)),
+    "1024-ports-all-filtered": lambda: v1_stretch(1024, weights=lambda port: (0, 0, 1)),
+    "1024-ports-closed-filtered-tie": lambda: tied_stretch(1024),
+    # each 1,024-line block mostly open, closed or filtered in turn
+    "65535-ports-block-majorities": lambda: v1_stretch(
+        65535, weights=lambda port: [(90, 5, 5), (5, 90, 5), (5, 5, 90)][(port - 1) // 1024 % 3]),
+}
+
+
+@pytest.fixture(scope="module", params=STRETCHES.values(), ids=STRETCHES)
 def stretch(request):
-    return v1_stretch(request.param)
+    return request.param()
 
 
 @pytest.mark.parametrize("edit", V1_EDITS.values(), ids=V1_EDITS)
@@ -277,6 +322,16 @@ def test_the_v1_bulk_step_reads_a_consecutive_stretch(count):
     assert data.startswith(b"host 10.0.0.2 ", end)
     (rec, _) = loads_fingerprint(data).hosts.values()
     assert rec.ports == dict(zip(range(1, count + 1), map(PortState, states)))
+
+
+def test_the_v1_bulk_step_reads_each_stretch(stretch):
+    """The bulk step reads every fixture stretch itself, whatever its
+    blocks' most common states, rather than handing it on."""
+    data = v1_record(stretch)
+    first, codes, end = store._v1_stretch(data, data.index(b"port 1 "))
+    states = [line.split()[2].decode() for line in stretch]
+    assert (first, bytes(codes)) == (1, bytes(map(PORT_CODES.get, states)))
+    assert data.startswith(b"host 10.0.0.2 ", end)
 
 
 def random_hosts(count, ports):
@@ -322,7 +377,7 @@ def test_loading_a_v1_record_allocates_little_beyond_the_fingerprint(count, port
     after loading the v2 record of the same fingerprint."""
     expected = random_hosts(count, ports)
     data = dumps_v1(expected)
-    store._v1_skeleton.cache_clear()  # so the skeletons the load keeps count as held
+    store._v1_block.cache_clear()  # so the blocks the load keeps count as held
     fp, held, transient = traced_load(data)
     _, held_v2, _ = traced_load(dumps_fingerprint(expected))
     assert fp == expected
