@@ -11,9 +11,11 @@ Reply rule, applied to every probe by `SimNetwork._exchange`: a host
 answers only while it is present and participates in ARP (a device with
 ARP disabled is link-layer dark, per the stealth host configuration),
 the probed port is not filtered, and, for an ICMP echo, echo is enabled.
-Only a host that answers draws its RTT: base_rtt * latency_factor plus a
-uniform jitter draw in [0, rtt_jitter], at least 1, in microseconds.  A
-reply later than the timeout is silence.
+Only a host that answers draws its RTT, once per probe: base_rtt *
+latency_factor plus a uniform jitter draw in [0, rtt_jitter], then at
+least 1, in microseconds.  A reply later than the timeout is silence.
+A target's reply plan, its spec and what that fixes of every reply, is
+built when the target changes and dropped whenever a due action applies.
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ class SimNetwork(ProbeTransport):
         # keyed by int(address): an IPv4Address hashes through hex(), and
         # every probe looks its target up here
         self._hosts = {int(spec.address): spec for spec in hosts}
-        # the last port probe's target and its key: a scan sends a host's
-        # ports back to back, and int() of an IPv4Address is a Python call
-        self._target, self._key = None, None
+        # the last probe's target and its reply plan: a scan probes a host's ports in a row
+        self._target = self._host = self._fixed_rtt = self._closed_probe = None
         self._actions = actions
         self._next_action = 0
         self._due = actions[0][0] if actions else math.inf
@@ -106,6 +107,7 @@ class SimNetwork(ProbeTransport):
             else:
                 self._hosts[int(address)] = spec
             self._next_action += 1
+        self._target = None  # the plan may be stale
         self._due = (actions[self._next_action][0] if self._next_action < len(actions)
                      else math.inf)
 
@@ -125,29 +127,35 @@ class SimNetwork(ProbeTransport):
         t0 = clock._now
         if t0 >= self._due:
             self._apply_due()
-        if target is not self._target:
-            self._target, self._key = target, int(target)
-        host = self._hosts.get(self._key)
-        self.counters.record(request, t0)
+        if target is not self._target:  # a new target: build its reply plan
+            host = self._host = self._hosts.get(int(target))
+            if host is not None:
+                fixed = self._fixed_rtt = int(host.base_rtt * host.latency_factor)
+                self._closed_probe = (None if host.rtt_jitter
+                                      else PortProbe(_CLOSED, None, max(fixed, 1)))
+            self._target = target
+        host = self._host
         if (host is not None and host.arp_enabled and port not in host.filtered_ports
                 and (host.icmp_echo_enabled or request != "icmp_request")):
-            rtt = int(host.base_rtt * host.latency_factor)
+            rtt = self._fixed_rtt
             if host.rtt_jitter:
                 rtt += self._prng.below(host.rtt_jitter + 1)
             if rtt < 1:
                 rtt = 1
             if rtt <= timeout:
                 if port is None:
-                    self.counters.record(_ECHO_REPLY[request], t0 + rtt)
+                    self.counters.record_exchange(request, t0, _ECHO_REPLY[request], t0 + rtt)
                     clock._now = t0 + rtt
                     return ProbeReply(True, rtt)
-                # tuple.__new__ skips the NamedTuple's Python-level __new__
                 if port in host.open_ports:
+                    self.counters.record(request, t0)
                     self.counters.record("tcp_synack", t0 + rtt)
+                    # tuple.__new__ skips the NamedTuple's Python-level __new__
                     return tuple.__new__(PortProbe, (_OPEN, None, rtt))
-                self.counters.record("tcp_rst", t0 + rtt)  # target refuses
+                self.counters.record_exchange(request, t0, "tcp_rst", t0 + rtt)  # refused
                 clock._now = t0 + rtt
-                return tuple.__new__(PortProbe, (_CLOSED, None, rtt))
+                return self._closed_probe or tuple.__new__(PortProbe, (_CLOSED, None, rtt))
+        self.counters.record(request, t0)
         if timeout < 0:  # the clock never moves backwards
             raise ValueError(f"negative timeout {timeout}")
         clock._now = t0 + timeout
@@ -176,7 +184,7 @@ class SimNetwork(ProbeTransport):
             return probe
         t0, rtt = self.clock.now(), probe.rtt
         self.counters.record("tcp_ack", t0 + rtt)
-        banner = self._hosts[self._key].open_ports[port]  # the host _exchange just reached
+        banner = self._host.open_ports[port]  # the host _exchange just reached
         if banner_grab and banner:
             # service pushes its banner one round trip after the handshake
             self.counters.record("banner_data", t0 + 2 * rtt, len(banner))

@@ -80,7 +80,8 @@ class PacketCounters:
     over.  Packets are recorded in time order: one in a second before the
     newest raises ValueError and changes nothing.  It adds to the count
     cell in place; `_add`, which widens the cells, takes only an overflow
-    and the bytes of a `banner_data` packet.
+    and the bytes of a `banner_data` packet.  `record_exchange` is `record`
+    of a request, then of its reply: in one call when both fall in the newest second.
     """
 
     def __init__(self):
@@ -112,6 +113,22 @@ class PacketCounters:
             self._add(cell, 1)
         if cls == "banner_data":
             self._add(self._last + _BANNER_BYTES_CELL, payload_len + BANNER_FRAMING_BYTES)
+
+    def record_exchange(self, cls: str, when: int, reply: str, reply_when: int) -> None:
+        sec = when // SECOND
+        if sec != self._newest or reply_when // SECOND != sec:
+            self.record(cls, when)
+            self.record(reply, reply_when)
+            return
+        request, answer = self._last + _CELL[cls], self._last + _CELL[reply]
+        try:  # each cell on its own, so an overflow counts no packet twice
+            self._cells[request] += 1
+        except OverflowError:
+            self._add(request, 1)
+        try:
+            self._cells[answer] += 1
+        except OverflowError:
+            self._add(answer, 1)
 
     @property
     def counts(self) -> dict:
@@ -146,25 +163,20 @@ class PacketCounters:
         """Sorted array of all second buckets that saw any traffic."""
         return self._secs[:]
 
-    def _find(self, sec: int):
-        """Index of the first cell of `sec`'s row, or None if that second
-        saw no traffic."""
-        row = bisect_left(self._secs, sec)
-        return row * _ROW if row < len(self._secs) and self._secs[row] == sec else None
+    def _row(self, sec: int):
+        """`sec`'s row of cells, all zero if that second saw no traffic."""
+        i = bisect_left(self._secs, sec)
+        found = i < len(self._secs) and self._secs[i] == sec
+        return self._cells[i * _ROW:(i + 1) * _ROW] if found else bytes(_ROW)
 
     def second_count(self, sec: int, classes=PACKET_CLASSES) -> int:
-        row = self._find(sec)
-        if row is None:
-            return 0
-        return sum(self._cells[row + _CELL[cls]] for cls in classes)
+        row = self._row(sec)
+        return sum(row[_CELL[cls]] for cls in classes)
 
     def second_bytes(self, sec: int, classes=PACKET_CLASSES) -> int:
-        row = self._find(sec)
-        if row is None:
-            return 0
-        cells = self._cells
-        return sum(cells[row + _BANNER_BYTES_CELL] if cls == "banner_data"
-                   else cells[row + _CELL[cls]] * FIXED_SIZE[cls] for cls in classes)
+        row = self._row(sec)
+        return sum(row[_BANNER_BYTES_CELL] if cls == "banner_data"
+                   else row[_CELL[cls]] * FIXED_SIZE[cls] for cls in classes)
 
     def peak(self, classes) -> int:
         """The busiest second's packet count summed over `classes`."""

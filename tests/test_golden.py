@@ -98,6 +98,64 @@ JITTER_SHA256 = {
          "epoch000003": "a88a04f2fb7d7d9d8ed223aae5f4a63f993cb0e345c7c2178059c36591f9c435"}),
 }
 
+# At scale: 16 hosts on ports 1-256, each port scan a few hundred probes long.
+# 10.0.1.3 filters 200 ports, so most of its probes open a new counter second;
+# 10.0.1.4 pings at 1us after its latency halves, which pins that the RTT is
+# clamped only after the jitter is added.  Every action lands inside the port
+# scan of the host it names, between two of its probes, in the first epoch.
+SCALE_SCN = f"""\
+host 10.0.1.1 rtt=500us port=22:"SSH-2.0-x\\r\\n" port=80 port=102
+host 10.0.1.2 rtt=800us jitter=1ms port=21 port=143:"hi"
+host 10.0.1.3 rtt=2ms filtered={",".join(map(str, range(1, 201)))} port=250
+host 10.0.1.4 rtt=1us jitter=50us port=102 port=202
+host 10.0.1.5 rtt=300us jitter=299us port=23:"login: " port=161
+host 10.0.1.6 icmp=off rtt=700us port=88
+host 10.0.1.7 rtt=1ms port=252:"modbus" filtered=100,101,102
+host 10.0.1.8 rtt=250us jitter=20us
+host 10.0.1.9 rtt=1500us port=1 port=256
+host 10.0.1.10 rtt=400us jitter=100us port=218
+host 10.0.1.11 rtt=600us port=200 port=53
+host 10.0.1.12 rtt=3ms jitter=2ms port=80:"HTTP/1.0 200 OK\\r\\n"
+host 10.0.1.13 arp=off rtt=400us port=21
+host 10.0.1.14 rtt=900us port=135 port=139 port=245
+host 10.0.1.15 rtt=200us jitter=5us filtered=1,2,3,4,5,6,7,8,9,10
+host 10.0.1.16 rtt=1200us port=204
+at 745s close-port 10.0.1.14 245
+at 1070s set-latency 10.0.1.4 0.5
+at 1100s open-port 10.0.1.1 143 banner=hi
+at 1140s set-latency 10.0.1.15 4
+at 1200s set-latency 10.0.1.16 2.5
+at 1230s set-arp 10.0.1.8 off
+"""
+
+SCALE_CONF = """\
+address_range = 10.0.1.1-10.0.1.18
+port_range = 1-256
+ping_delay = 100ms
+port_delay = 100ms
+ping_timeout = 1s
+connect_timeout = 1s
+startup_delay_min = 1s
+startup_delay_max = 1s
+rescan_interval = 60s
+seed = 7
+"""
+
+# scan -> sha256 of `simulate --epochs 2` stdout on SCALE_CONF, and of each
+# stored fingerprint
+SCALE_SHA256 = {
+    "connect": (
+        "d2b0d69133e82378f06d16177a6bae038a942969b3109057d03dd79eac275ac7",
+        {"trusted": "3e2853a6e919efd83eef7f4c94768e03e4e23798c79144fff9d9f9f07922d1fe",
+         "epoch000001": "202b57c3a1b0a40ea25281a5ede589834d922cd9f2afaec28eab70de0ed875e4",
+         "epoch000002": "facbfdd945241b8e5a70a35d5d582ba026e2e1f1a24d573d3ed1c7c3d0575bf1"}),
+    "syn": (
+        "bfd251978c88bfac4b6a99726d622853378a51e5eee947b2724fe9f81946a269",
+        {"trusted": "3f0b6ca4f961b4c2832926246497856075b8e8275daf6b183d7f3f432c0513ef",
+         "epoch000001": "538ee48d493be900a9a3ac804dfa4f9bff39b2045450ff68a3c23a627ca5640a",
+         "epoch000002": "cf238703b43ce364eaadc462ab774ad2f85319e8f8a2fd7f12bb21561ff18027"}),
+}
+
 # the first sweep sees the network at time zero, before any scripted action
 REFERENCE_NET = "hosts=4 open_ports=3 duration=33712500us packets=297"
 SUMMARY = {
@@ -159,6 +217,21 @@ def test_jittered_sweeps(scan, tmp_path):
     state = tmp_path / "state"
     text = run(["simulate", str(scenario), "--config", str(SCENARIOS / "sim.conf"),
                 "--epochs", "3", "--state-dir", str(state)]
+               + (["--syn"] if scan == "syn" else []))
+    assert sha256(text.encode()) == stdout
+    assert {path.name.split(".")[1]: sha256(path.read_bytes())
+            for path in state.glob("*.fp")} == stored
+
+
+@pytest.mark.parametrize("scan", sorted(SCALE_SHA256))
+def test_sweeps_at_scale(scan, tmp_path):
+    stdout, stored = SCALE_SHA256[scan]
+    scenario, config = tmp_path / "scale.scn", tmp_path / "scale.conf"
+    scenario.write_text(SCALE_SCN)
+    config.write_text(SCALE_CONF)
+    state = tmp_path / "state"
+    text = run(["simulate", str(scenario), "--config", str(config),
+                "--epochs", "2", "--state-dir", str(state)]
                + (["--syn"] if scan == "syn" else []))
     assert sha256(text.encode()) == stdout
     assert {path.name.split(".")[1]: sha256(path.read_bytes())

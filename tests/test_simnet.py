@@ -143,6 +143,10 @@ class TestPacketCounters:
         with pytest.raises(ValueError, match="second 8 recorded after second 9"):
             c.record("banner_data", 8 * SEC, 10)
         assert (c.counts, c.bytes, list(c.seconds()), c.per_second, c.per_second_bytes) == before
+        # an exchange whose request is in an earlier second counts neither packet
+        with pytest.raises(ValueError, match="second 8 recorded after second 9"):
+            c.record_exchange("tcp_syn", 8 * SEC, "tcp_rst", 9 * SEC + 5)
+        assert (c.counts, c.bytes, list(c.seconds()), c.per_second, c.per_second_bytes) == before
         c.record("tcp_ack", 9 * SEC + 4)        # the counters still take the newest second
         assert c.second_count(9) == 3
 
@@ -170,12 +174,29 @@ class TestPacketCounters:
         assert list(c.per_second["tcp_syn"]) == [0, 65_536, 1]
         assert c.peak(TCP_CLASSES) == 65_536 and c.peak(DISCOVERY_CLASSES) == 1
         assert c.second_count(4) == 2 and c.second_bytes(4) == 2 * TCP_CONTROL_BYTES
+        # an exchange whose request or reply is the one to overflow: the
+        # cells widen once, and each packet counts once
+        for full in ("tcp_syn", "tcp_rst"):
+            c = PacketCounters()
+            for _ in range(65_535):
+                c.record(full, 5 * SEC)
+            c.record_exchange("tcp_syn", 5 * SEC + 1, "tcp_rst", 5 * SEC + 300)
+            c.record_exchange("tcp_syn", 5 * SEC + 400, "tcp_rst", 5 * SEC + 700)
+            assert c.counts == {**dict.fromkeys(PACKET_CLASSES, 0), "tcp_syn": 2, "tcp_rst": 2,
+                                full: 65_537}
+            assert list(c.seconds()) == [5] and c.second_count(5) == 65_539
+            assert list(c.per_second[full]) == [65_537]
 
-    # (class, gap after the previous packet, banner payload length); a
-    # payload above 32,767 bytes overflows a 2-byte cell in two packets
-    streams = st.lists(st.tuples(st.sampled_from(PACKET_CLASSES),
-                                 st.integers(0, 3 * SEC), st.integers(0, 40_000)),
-                       max_size=60)
+    # a lone packet: (class, gap after the previous packet, banner payload
+    # length); a payload above 32,767 bytes overflows a 2-byte cell in two
+    # packets.  Or an exchange, through record_exchange: (class, gap, reply
+    # class, reply gap), the reply 1us-2s after the request, so that some
+    # exchanges cross into the next second.
+    lone = st.tuples(st.sampled_from(PACKET_CLASSES),
+                     st.integers(0, 3 * SEC), st.integers(0, 40_000))
+    exchange = st.tuples(st.sampled_from(sorted(FIXED_SIZE)), st.integers(0, 3 * SEC),
+                         st.sampled_from(sorted(FIXED_SIZE)), st.integers(1, 2 * SEC))
+    streams = st.lists(st.one_of(lone, exchange), max_size=60)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(streams)
@@ -184,16 +205,28 @@ class TestPacketCounters:
         counts = dict.fromkeys(PACKET_CLASSES, 0)
         sizes = dict.fromkeys(PACKET_CLASSES, 0)
         by_second = {}  # second -> {class: [packets, bytes]}
-        when = 0
-        for cls, gap, payload in stream:
-            when += gap
-            c.record(cls, when, payload)
+
+        def count(cls, when, payload=0):
             size = payload + 66 if cls == "banner_data" else FIXED_SIZE[cls]
             counts[cls] += 1
             sizes[cls] += size
             cell = by_second.setdefault(when // SEC, {}).setdefault(cls, [0, 0])
             cell[0] += 1
             cell[1] += size
+
+        when = 0
+        for item in stream:
+            when += item[1]
+            if len(item) == 3:
+                cls, _, payload = item
+                c.record(cls, when, payload)
+                count(cls, when, payload)
+            else:
+                cls, _, reply, reply_gap = item
+                c.record_exchange(cls, when, reply, when + reply_gap)
+                count(cls, when)
+                when += reply_gap
+                count(reply, when)
         assert c.counts == counts and c.bytes == sizes
         assert c.total_packets() == sum(counts.values())
         assert c.total_bytes() == sum(sizes.values())
@@ -414,6 +447,68 @@ class TestScript:
         ports, _ = scan_host_ports(spec.address, small_config(port_range=(1, 8)),
                                    net, order)
         assert [ports[p] for p in order] == [PortState.CLOSED] * 4 + [PortState.FILTERED] * 4
+
+    # A jittered host answers in 500-700us and the scan paces 100ms per
+    # port, so the 4th probe is settled by 302.8ms and the 5th is sent at
+    # 402ms or later: an action at 350ms lands between them.
+    ORDER = (5, 1, 7, 3, 2, 8, 4, 6)
+    MID_SCAN = 350_000
+
+    def scan_across(self, spec, after, syn_scan):
+        """Scan ports 1-8 of `spec`, which turns into `after` between the
+        4th and 5th probe; the states in probe order, and the network."""
+        net = SimNetwork([spec], ((self.MID_SCAN, spec.address, after),), seed=3)
+        ports, _ = scan_host_ports(spec.address,
+                                   small_config(port_range=(1, 8), syn_scan=syn_scan),
+                                   net, self.ORDER)
+        return [ports[p] for p in self.ORDER], net
+
+    @pytest.mark.parametrize("base_rtt, jitter, factor", [(500, 200, 3.0), (1, 50, 0.5)],
+                             ids=["slower", "under-a-microsecond"])
+    def test_latency_change_between_two_probes_of_one_scan(self, base_rtt, jitter, factor):
+        spec = SimHostSpec(address=self.addr(1), base_rtt=base_rtt, rtt_jitter=jitter)
+        states, net = self.scan_across(spec, replace(spec, latency_factor=factor),
+                                       syn_scan=True)
+        assert states == [PortState.CLOSED] * 8
+        mirror = Prng(3)
+        # the floor of 1us applies after the jitter is added
+        rtts = [base_rtt + mirror.below(jitter + 1) for _ in range(4)]
+        rtts += [max(int(base_rtt * factor) + mirror.below(jitter + 1), 1) for _ in range(4)]
+        assert net.clock.now() == 8 * 100_000 + sum(rtts)
+        assert net._prng.next_u64() == mirror.next_u64()
+        counts = net.counters.counts
+        assert (counts["tcp_syn"], counts["tcp_rst"], net.counters.total_packets()) == (8, 8, 16)
+
+    def test_ports_close_and_open_between_two_probes_of_one_scan(self):
+        # port 7 is probed before the action and stays open; port 2 closes
+        # and port 6 opens, both probed after it
+        spec = SimHostSpec(address=self.addr(1), base_rtt=500, rtt_jitter=200,
+                           open_ports={7: b"SSH-2.0\r\n", 2: None})
+        states, net = self.scan_across(
+            spec, replace(spec, open_ports={7: b"SSH-2.0\r\n", 6: None}), syn_scan=False)
+        closed, opened = PortState.CLOSED, PortState.OPEN
+        assert states == [closed, closed, opened, closed, closed, closed, closed, opened]
+        mirror = Prng(3)
+        rtts = [500 + mirror.below(201) for _ in range(8)]
+        # port 7's banner takes its round trip a second time
+        assert net.clock.now() == 8 * 100_000 + sum(rtts) + rtts[2]
+        assert net._prng.next_u64() == mirror.next_u64()
+        counts = net.counters.counts
+        assert (counts["tcp_syn"], counts["tcp_synack"], counts["tcp_ack"],
+                counts["banner_data"], counts["tcp_rst"]) == (8, 2, 2, 1, 8)
+        assert net.counters.bytes["banner_data"] == len(b"SSH-2.0\r\n") + 66
+
+    def test_arp_off_between_two_probes_of_one_scan(self):
+        spec = SimHostSpec(address=self.addr(1), base_rtt=500, rtt_jitter=200)
+        states, net = self.scan_across(spec, replace(spec, arp_enabled=False), syn_scan=True)
+        assert states == [PortState.CLOSED] * 4 + [PortState.FILTERED] * 4
+        mirror = Prng(3)
+        # only the four answered probes draw; the dark ones wait out 1s each
+        rtts = [500 + mirror.below(201) for _ in range(4)]
+        assert net.clock.now() == 8 * 100_000 + sum(rtts) + 4 * SEC
+        assert net._prng.next_u64() == mirror.next_u64()
+        counts = net.counters.counts
+        assert (counts["tcp_syn"], counts["tcp_rst"], net.counters.total_packets()) == (8, 4, 12)
 
 
 class TestSpecValidation:
