@@ -25,7 +25,7 @@ from . import scenario as scenario_mod
 from .diffing import classify_scenario, diff
 from .errors import (CapabilityUnsupported, CorruptRecord, IncomparableFingerprints,
                      MalformedScript, NotFound, TransportDown, TrustedAlreadyExists)
-from .model import OPEN_CODE, AddressRange, ScanConfig, config_digest
+from .model import OPEN_CODE, AddressRange, ScanConfig, config_digest, dotted_quad
 from .osnet import OsNetwork
 from .probe import full_sweep
 from .rng import Prng
@@ -213,11 +213,11 @@ def cmd_scan(args, out) -> int:
 
 def cmd_monitor(args, out) -> int:
     config = build_config(args)
+    sink = build_sink(args)
     transport = build_transport(args.backend, config)
     store = FingerprintStore(args.state_dir or STATE_DIR)
     if not store.has_trusted(config_digest(config)):
         raise NotFound("no trusted baseline for this config (run baseline first)")
-    sink = build_sink(args)
     stop = threading.Event()
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -245,7 +245,7 @@ def cmd_diff(args, out) -> int:
             print(format_intrusion("diff", 0, 0, event), file=out)
         else:
             port = f" port {event.port}" if event.port is not None else ""
-            print(f"{event.kind.value} {event.address}{port} "
+            print(f"{event.kind.value} {dotted_quad(event.address)}{port} "
                   f"({event.baseline_value} -> {event.observed_value})", file=out)
     return EXIT_EVENTS if events else EXIT_OK
 
@@ -271,11 +271,11 @@ def cmd_simulate(args, out) -> int:
     if args.backend is not None:
         raise ValueError("simulate runs the scenario it names; --backend does not apply")
     config = build_config(args)
+    sink = build_sink(args, stream=out)
     transport = build_transport(f"sim:{args.scenario}", config)
     with (nullcontext(args.state_dir) if args.state_dir
           else tempfile.TemporaryDirectory(prefix="edgemap-sim-")) as state_dir:
         store = FingerprintStore(state_dir)
-        sink = build_sink(args, stream=out)
         run_monitor(config, transport, store, sink, max_epochs=args.epochs)
     if args.rates != "none":
         _print_rates(transport.counters, out)

@@ -1,7 +1,8 @@
 """Core domain types: scan configuration, host records, fingerprints, events.
 
-Everything here is immutable after construction and free of I/O.  Durations
-and timestamps are integer microseconds on the monotonic scan clock.
+Everything here is immutable after construction and free of I/O; an event
+is a tuple value, built per deviation in a fraction of a dataclass's time.
+Durations and timestamps are integer microseconds on the monotonic scan clock.
 
 A host's port states are a PortTable: one byte per port from the lowest
 probed port to the highest (0 = not probed, else the code of its state in
@@ -13,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
+from socket import inet_ntoa
 from typing import Optional
 
 from .timebase import SECOND, MILLISECOND
@@ -267,24 +270,29 @@ _PORT_KINDS = {kind._value_ for kind in (EventKind.PORT_OPENED, EventKind.PORT_C
                                          EventKind.BANNER_CHANGED)}
 
 
-@dataclass(frozen=True)
-class IntrusionEvent:
+class IntrusionEvent(namedtuple("IntrusionEvent",
+                                "kind address port baseline_value observed_value")):
     """One classified deviation between the baseline and a current scan; a
-    plain value, as the loop that emits it supplies the epoch."""
+    plain tuple value, as the loop that emits it supplies the epoch."""
 
-    kind: EventKind
-    address: IPv4
-    port: Optional[int] = None
-    baseline_value: str = ""
-    observed_value: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind._value_ in _PORT_KINDS:
-            if self.port is None:
-                raise ValueError(f"{self.kind.value} requires a port")
-        elif self.port is not None:
-            raise ValueError(f"{self.kind.value} must not carry a port")
+    def __new__(cls, kind: EventKind, address: IPv4, port: Optional[int] = None,
+                baseline_value: str = "", observed_value: str = ""):
+        if kind._value_ in _PORT_KINDS:
+            if port is None:
+                raise ValueError(f"{kind.value} requires a port")
+        elif port is not None:
+            raise ValueError(f"{kind.value} must not carry a port")
+        return tuple.__new__(cls, (kind, address, port, baseline_value, observed_value))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates through it
 
     def sort_key(self):
-        return (int(self.address), _KIND_RANK[self.kind._value_],
+        return (self.address._ip, _KIND_RANK[self.kind._value_],
                 -1 if self.port is None else self.port)
+
+
+def dotted_quad(address: IPv4) -> str:
+    """str(address), from its integer rather than the Python-level __str__."""
+    return inet_ntoa(address._ip.to_bytes(4, "big"))

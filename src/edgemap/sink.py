@@ -3,9 +3,11 @@
 One structured text line per event: space-separated key=value pairs,
 each value a POSIX shell word (quoted when it holds anything but ASCII
 letters, digits and `_@%+=:,./-`), so the line splits back by the
-`edgemap.shellwords` rules.  The same line goes to every configured
-output; UDP datagrams are fire-and-forget and capped at 512 bytes by
-truncating values, never keys.
+`edgemap.shellwords` rules.  Only the node id (printable, so no line
+break splits a line), baseline and observed values need quoting: kind,
+dotted-quad address and port are safe words as they stand.  The same
+line goes to every configured output; UDP datagrams are fire-and-forget
+and capped at 512 bytes by truncating values, never keys.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from shlex import quote
 
-from .model import IntrusionEvent
+from .model import IntrusionEvent, dotted_quad
 from .shellwords import split_line
 
 UDP_MAX_BYTES = 512
@@ -41,11 +43,11 @@ def format_line(node_id: str, epoch: int, ts: int, fields) -> str:
 
 
 def format_intrusion(node_id: str, epoch: int, ts: int, event: IntrusionEvent) -> str:
-    fields = [("kind", event.kind.value), ("addr", str(event.address))]
-    if event.port is not None:
-        fields.append(("port", event.port))
-    fields += [("baseline", event.baseline_value), ("observed", event.observed_value)]
-    return format_line(node_id, epoch, ts, fields)
+    kind, address, port, baseline, observed = event
+    port = "" if port is None else f" port={port}"
+    return (f"node={quote(node_id)} epoch={epoch} ts={ts} kind={kind._value_} "
+            f"addr={dotted_quad(address)}{port} baseline={quote(baseline)} "
+            f"observed={quote(observed)}")
 
 
 def format_operational(node_id: str, epoch: int, ts: int, message: str,
@@ -138,8 +140,8 @@ class EventSink:
     def __post_init__(self):
         if not self.outputs:
             raise ValueError("at least one output must be configured")
-        if not self.node_id:
-            raise ValueError("node_id must be nonempty")
+        if not self.node_id or not self.node_id.isprintable():
+            raise ValueError(f"--node-id must be nonempty and printable, not {self.node_id!r}")
 
     def _deliver(self, line: str) -> None:
         failed = {}

@@ -63,7 +63,7 @@ from dataclasses import replace
 from operator import lt
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
-from .model import PORT_CODES, HostRecord, NetworkFingerprint, PortTable
+from .model import PORT_CODES, HostRecord, NetworkFingerprint, PortTable, dotted_quad
 
 HEADER = "edgemap-fingerprint v2"
 
@@ -80,7 +80,7 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
                     f"started {fp.started_at}\nfinished {fp.finished_at}\n".encode("ascii"))
     for addr in sorted(fp.hosts, key=int):
         rec = fp.hosts[addr]
-        lines = [f"host {addr} {rec.alive}"]
+        lines = [f"host {dotted_quad(addr)} {rec.alive}"]
         if rec.rtt_samples:
             lines.append("rtt " + " ".join(map(str, rec.rtt_samples)))
         first, codes = rec.ports.first, rec.ports.codes

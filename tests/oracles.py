@@ -4,6 +4,7 @@ Nothing in here calls into edgemap's diff or store logic; results are
 compared structurally against the package output in the tests.
 """
 
+import shlex
 import statistics
 import zlib
 
@@ -78,3 +79,14 @@ def dumps_v1(fp):
         lines += [f"banner {port} {rec.banners[port].hex()}" for port in sorted(rec.banners)]
     body = ("\n".join(lines) + "\nend\n").encode("ascii")
     return body + b"checksum %08x\n" % zlib.crc32(body)
+
+
+def reference_intrusion_line(node_id, epoch, ts, event):
+    """An event line by the generic rule: each value through
+    shlex.quote(str(value)), the address through str()."""
+    fields = [("node", node_id), ("epoch", epoch), ("ts", ts),
+              ("kind", event.kind.value), ("addr", str(event.address))]
+    if event.port is not None:
+        fields.append(("port", event.port))
+    fields += [("baseline", event.baseline_value), ("observed", event.observed_value)]
+    return " ".join(f"{key}={shlex.quote(str(value))}" for key, value in fields)

@@ -392,6 +392,11 @@ EXIT_CODE_ROWS = [
        lambda ws, spec=spec: _simulate(ws, "change.scn", "--sink", spec), 2)
       for spec in ("udp:127.0.0.1:70000", "udp:127.0.0.1:0", "udp:127.0.0.1:-5",
                    "udp::514", "udp:514")),
+    # a line break in the node id would split every event line in two
+    ("simulate", "node id with a line break", None,
+     lambda ws: _simulate(ws, "change.scn", "--node-id", "edge\nkind=HostRemoved"), 2),
+    ("monitor", "node id with a line break", _baseline,
+     lambda ws: ["monitor", "--epochs", "1", "--node-id", "a\nb"] + common(ws), 2),
 ]
 
 # the failures that come after the command has printed its report
@@ -446,6 +451,41 @@ class TestSinkWiring:
         assert run(_simulate(ws, "change.scn", "--sink", sink, "--sink", sink)) == (2, "")
         assert capsys.readouterr().err == f"error: sink given more than once: {sink}\n"
         assert not log.exists()
+
+
+UNPRINTABLE_NODE_IDS = ["edge\nkind=HostRemoved", "a\rb", "a\tb", "a\u2028b", "a\x00b", ""]
+
+
+@pytest.mark.parametrize("node_id", UNPRINTABLE_NODE_IDS)
+@pytest.mark.parametrize("command", ["simulate", "monitor"])
+def test_a_node_id_that_is_not_printable_is_refused_before_any_probe(
+        ws, capsys, monkeypatch, command, node_id):
+    if command == "monitor":
+        _baseline(ws)
+        argv = ["monitor", "--epochs", "1"] + common(ws)
+    else:
+        argv = _simulate(ws, "change.scn", "--state-dir", str(ws / "state"))
+    before = sorted(ws.rglob("*"))
+    capsys.readouterr()
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe sent")
+
+    for name in ("arp_probe", "icmp_ping", "tcp_connect", "tcp_syn"):
+        monkeypatch.setattr(SimNetwork, name, no_probe)
+    assert run(argv + ["--node-id", node_id]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: --node-id must be nonempty and printable, not {node_id!r}\n")
+    assert sorted(ws.rglob("*")) == before
+
+
+def test_a_printable_node_id_with_spaces_and_quotes_is_quoted(ws):
+    code, text = run(_simulate(ws, "change.scn", "--rates", "none",
+                               "--node-id", "edge 7 'north' é"))
+    events = [line for line in text.splitlines() if line.startswith("node=")]
+    assert code == 0 and events
+    assert all(line.startswith("node='edge 7 '\"'\"'north'\"'\"' é' epoch=")
+               for line in events)
 
 
 # each flag a command would accept and ignore: scan keeps no store, and

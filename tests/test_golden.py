@@ -6,16 +6,22 @@ every fingerprint file it stores, which holds every port state, banner
 and RTT sample of the baseline and of each epoch.  The `baseline`/`scan`
 summary lines are pinned as text.  A refactor of the probe, simulator or
 CLI layers that moves any packet, RTT draw or event changes one of these.  peak-syn.scn runs with peak.conf, the others with
-sim.conf.
+sim.conf.  A `diff` of two generated records that differ by hundreds of
+events pins both output formats of the event path.
 """
 
 import hashlib
 import io
+import ipaddress
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from edgemap import cli
+from edgemap.model import EventKind, HostRecord, NetworkFingerprint, PortState
+from edgemap.store import dumps_fingerprint
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -156,6 +162,76 @@ SCALE_SHA256 = {
          "epoch000002": "cf238703b43ce364eaadc462ab774ad2f85319e8f8a2fd7f12bb21561ff18027"}),
 }
 
+# The event path at scale: two records of one network, 48 addresses on ports
+# 1-512, that differ by every event kind.  Some hosts leave or join, some are
+# silent on one side, some have a shifted median RTT, and the banners hold
+# quotes, backslashes, spaces, control and non-ASCII bytes.  The addresses
+# span several /8s and their decimal strings sort apart from their numbers.
+EVENT_PAIR_SHA256 = {
+    "records": ("6ac1c08bafa807ca32fa4f0abb4fa721da7bd115139062977bf2222c7eba654d",
+                "68a60df103291c72da0417c3de6554a2471b6e34e9a5880092f42dcbe4d33f5e"),
+    "human": "b5c069fbd5db8704165f26207da2a47ddf2ef1263b97a21b75847537ccc60144",
+    "lines": "33fe67462b27f31a6ed4555e0d02c24aca0efd105a9d553f4f5ccf4bcd1e535e",
+}
+
+BANNER_BYTES = (b"SSH-2.0-x", b"'", b'"', b"\\", b" ", b"=", b"#", b"\t", b"\r\n",
+                b"\xe9", b"\xff\xfe", b"caf\xc3\xa9", b"HTTP/1.0 200 OK")
+
+
+def event_pair():
+    """The two fingerprints, drawn from one seeded generator."""
+    rnd = random.Random(5)
+    numbers = {int(ipaddress.IPv4Address(text)) for text in (
+        "0.0.0.1", "9.255.255.255", "10.0.0.2", "10.0.0.10", "10.0.0.100", "10.1.0.9",
+        "172.16.0.1", "192.168.1.20", "192.168.1.3", "255.255.255.254")}
+    while len(numbers) < 48:
+        numbers.add(int(ipaddress.IPv4Address("10.0.0.0")) + rnd.randrange(1, 300))
+    addresses = sorted(map(ipaddress.IPv4Address, numbers))
+
+    def banner():
+        return b"".join(rnd.choice(BANNER_BYTES) for _ in range(rnd.randrange(1, 5)))
+
+    def record(states, banners, rtt):
+        ports = {port: PortState(state) for port, state in states.items()}
+        return HostRecord(rtt_samples=rtt, ports=ports,
+                          banners={port: text for port, text in banners.items()
+                                   if states.get(port) == "open"})
+
+    base, cur = {}, {}
+    for n, addr in enumerate(addresses):
+        last = 512 if n % 5 else 256  # some hosts were swept on half the ports
+        states = {port: rnd.choices(("closed", "open", "filtered"), (16, 3, 2))[0]
+                  for port in range(1 + (n % 7 == 3) * 100, last + 1)}
+        banners = {port: banner() for port, state in states.items()
+                   if state == "open" and rnd.random() < 0.5}
+        rtt = tuple(sorted(rnd.randrange(200, 5000) for _ in range(3)))
+        if n % 6 == 5:
+            rtt = ()  # silent: answered ARP only
+        side = n % 8
+        if side != 1:  # one in eight joins in the current scan
+            base[addr] = record(states, banners, rtt)
+        if side == 2:  # and one in eight leaves
+            continue
+        states = dict(states)
+        banners = dict(banners)
+        for port in rnd.sample(sorted(states), len(states) // 25):
+            states[port] = rnd.choice(("closed", "open", "filtered"))
+            banners.pop(port, None)
+            if states[port] == "open" and rnd.random() < 0.5:
+                banners[port] = banner()
+        for port in rnd.sample(sorted(banners), len(banners) // 3):
+            banners[port] = banner() if rnd.random() < 0.7 else b""
+        if rtt and rnd.random() < 0.4:
+            rtt = tuple(sample * rnd.choice((2, 3, 5)) + 1500 for sample in rtt)
+        elif n % 11 == 4:
+            rtt = () if rtt else (900, 1000, 1100)
+        cur[addr] = record(states, banners, rtt)
+    return (NetworkFingerprint(started_at=0, finished_at=90_000_000, config_digest=0xED6E,
+                               hosts=base, trusted=True),
+            NetworkFingerprint(started_at=100_000_000, finished_at=190_000_000,
+                               config_digest=0xED6E, hosts=cur))
+
+
 # the first sweep sees the network at time zero, before any scripted action
 REFERENCE_NET = "hosts=4 open_ports=3 duration=33712500us packets=297"
 SUMMARY = {
@@ -236,3 +312,22 @@ def test_sweeps_at_scale(scan, tmp_path):
     assert sha256(text.encode()) == stdout
     assert {path.name.split(".")[1]: sha256(path.read_bytes())
             for path in state.glob("*.fp")} == stored
+
+
+def test_diff_of_an_event_pair_at_scale(tmp_path):
+    records = [dumps_fingerprint(fp) for fp in event_pair()]
+    paths = [tmp_path / "a.fp", tmp_path / "b.fp"]
+    for path, data in zip(paths, records):
+        path.write_bytes(data)
+    assert tuple(map(sha256, records)) == EVENT_PAIR_SHA256["records"]
+    stdout = {}
+    for form in ("human", "lines"):
+        out = io.StringIO()
+        assert cli.main(["diff", *map(str, paths), "--format", form], out) == 1
+        stdout[form] = out.getvalue()
+    assert {form: sha256(text.encode()) for form, text in stdout.items()} == {
+        form: EVENT_PAIR_SHA256[form] for form in stdout}
+    # the pair raises every kind, and hundreds of events in all
+    kinds = Counter(line.split()[0] for line in stdout["human"].splitlines())
+    assert set(kinds) == {kind.value for kind in EventKind}
+    assert sum(kinds.values()) > 500

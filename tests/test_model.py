@@ -239,6 +239,16 @@ class TestFingerprint:
         assert fp.open_port_count() == 2
 
 
+PORT_KINDS = {EventKind.PORT_OPENED, EventKind.PORT_CLOSED, EventKind.BANNER_CHANGED}
+
+events = st.builds(
+    lambda kind, number, port, baseline, observed: IntrusionEvent(
+        kind=kind, address=A(number), port=port if kind in PORT_KINDS else None,
+        baseline_value=baseline, observed_value=observed),
+    st.sampled_from(EventKind), st.integers(0, 2**32 - 1), st.integers(1, 65535),
+    st.sampled_from(["", "closed", "open"]), st.sampled_from(["", "absent", "'x y'"]))
+
+
 class TestIntrusionEvent:
     def test_port_kinds_require_port(self):
         with pytest.raises(ValueError):
@@ -247,6 +257,79 @@ class TestIntrusionEvent:
     def test_host_kinds_reject_port(self):
         with pytest.raises(ValueError):
             IntrusionEvent(kind=EventKind.HOST_ADDED, address=A("10.0.0.1"), port=80)
+
+    @pytest.mark.parametrize("kind", EventKind)
+    def test_each_kind_with_and_without_a_port(self, kind):
+        addr = A("10.0.0.1")
+        if kind in PORT_KINDS:
+            assert IntrusionEvent(kind=kind, address=addr, port=80).port == 80
+            with pytest.raises(ValueError) as excinfo:
+                IntrusionEvent(kind=kind, address=addr)
+            assert str(excinfo.value) == f"{kind.value} requires a port"
+        else:
+            assert IntrusionEvent(kind=kind, address=addr).port is None
+            with pytest.raises(ValueError) as excinfo:
+                IntrusionEvent(kind=kind, address=addr, port=80)
+            assert str(excinfo.value) == f"{kind.value} must not carry a port"
+
+    def test_fields_defaults_and_positional_form(self):
+        event = IntrusionEvent(EventKind.HOST_ADDED, A("10.0.0.1"))
+        assert (event.kind, event.address, event.port, event.baseline_value,
+                event.observed_value) == (EventKind.HOST_ADDED, A("10.0.0.1"), None, "", "")
+        assert IntrusionEvent(EventKind.PORT_OPENED, A("10.0.0.1"), 80, "closed", "open") == \
+            IntrusionEvent(kind=EventKind.PORT_OPENED, address=A("10.0.0.1"), port=80,
+                           baseline_value="closed", observed_value="open")
+
+    def test_no_field_can_be_assigned_or_replaced_invalidly(self):
+        event = IntrusionEvent(kind=EventKind.PORT_OPENED, address=A("10.0.0.1"), port=80)
+        for name, value in (("kind", EventKind.HOST_ADDED), ("address", A("10.0.0.2")),
+                            ("port", None), ("baseline_value", "x"), ("observed_value", "y")):
+            with pytest.raises(AttributeError):
+                setattr(event, name, value)
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        with pytest.raises(ValueError, match="PortOpened requires a port"):
+            event._replace(port=None)
+        assert event.port == 80
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(events, min_size=1, max_size=6))
+    def test_equal_events_are_equal_and_hash_equal(self, drawn):
+        # a fresh address object of the same value, as a loaded record holds
+        copies = [IntrusionEvent(kind=e.kind, address=A(int(e.address)), port=e.port,
+                                 baseline_value=e.baseline_value,
+                                 observed_value=e.observed_value) for e in drawn]
+        for event, copy in zip(drawn, copies):
+            assert event == copy and hash(event) == hash(copy)
+        assert set(copies) == set(drawn)
+        standing = dict.fromkeys(drawn, "seen")
+        assert all(standing[copy] == "seen" for copy in copies)
+        assert len(standing) == len({(e.kind, int(e.address), e.port, e.baseline_value,
+                                      e.observed_value) for e in drawn})
+
+    def test_events_differing_in_one_field_differ(self):
+        event = IntrusionEvent(kind=EventKind.PORT_OPENED, address=A("10.0.0.1"), port=80,
+                               baseline_value="closed", observed_value="open")
+        for other in (IntrusionEvent(EventKind.PORT_CLOSED, A("10.0.0.1"), 80, "closed", "open"),
+                      IntrusionEvent(EventKind.PORT_OPENED, A("10.0.0.2"), 80, "closed", "open"),
+                      IntrusionEvent(EventKind.PORT_OPENED, A("10.0.0.1"), 81, "closed", "open"),
+                      IntrusionEvent(EventKind.PORT_OPENED, A("10.0.0.1"), 80, "open", "open"),
+                      IntrusionEvent(EventKind.PORT_OPENED, A("10.0.0.1"), 80, "closed", "")):
+            assert event != other
+        assert len({event, *[event] * 3}) == 1
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(events, max_size=30))
+    def test_sort_key_orders_as_the_brute_force_key(self, drawn):
+        rank = list(EventKind).index
+
+        def brute_force(event):
+            return (int(event.address), rank(event.kind),
+                    -1 if event.port is None else event.port)
+
+        assert [e.sort_key() for e in drawn] == [brute_force(e) for e in drawn]
+        assert (sorted(drawn, key=IntrusionEvent.sort_key)
+                == sorted(drawn, key=brute_force))
 
     def test_sort_order_is_address_then_kind_then_port(self):
         evs = [

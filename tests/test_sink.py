@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgemap.model import EventKind, IntrusionEvent
+from oracles import reference_intrusion_line
 from edgemap.sink import (DeliveryReport, EventSink, FileOutput,
                           StdoutOutput, UdpOutput, format_intrusion,
                           format_line, format_operational, parse_line,
@@ -58,6 +59,30 @@ class TestLineFormat:
     @given(st.text(alphabet="\"'\\# =_@%+,./:-aZ9\t\n\xe9", max_size=16))
     def test_any_value_parses_back(self, value):
         assert parse_line(format_line("n", 1, 2, [("v", value)]))["v"] == value
+
+    @settings(derandomize=True, max_examples=1000)
+    @given(kind=st.sampled_from(EventKind),
+           address=st.one_of(st.sampled_from([0, 1, 0x0A000002, 0x7F000001, 2**32 - 1]),
+                             st.integers(0, 2**32 - 1)).map(A),
+           port=st.one_of(st.sampled_from([1, 22, 65535]), st.integers(1, 65535)),
+           values=st.lists(st.one_of(
+               st.sampled_from(["", "'", '"', "=", "#", "\t", "\n", "\xe9", "a b", "\\"]),
+               st.text(alphabet="\"'\\# =_@%+,./:-aZ9\t\n\xe9", max_size=12)),
+               min_size=2, max_size=2),
+           node_id=st.sampled_from(["n", "edge-7", "edge 7", "'q'", "é"]),
+           epoch=st.integers(0, 10**6), ts=st.integers(0, 2**63))
+    def test_event_line_is_the_generic_quoting_rule(self, kind, address, port, values,
+                                                    node_id, epoch, ts):
+        port_kinds = (EventKind.PORT_OPENED, EventKind.PORT_CLOSED, EventKind.BANNER_CHANGED)
+        event = IntrusionEvent(kind, address, port if kind in port_kinds else None, *values)
+        line = format_intrusion(node_id, epoch, ts, event)
+        assert line == reference_intrusion_line(node_id, epoch, ts, event)
+        expected = {"node": node_id, "epoch": str(epoch), "ts": str(ts), "kind": kind.value,
+                    "addr": str(address)}
+        if event.port is not None:
+            expected["port"] = str(port)
+        expected |= {"baseline": values[0], "observed": values[1]}
+        assert list(parse_line(line).items()) == list(expected.items())
 
     def test_parse_rejects_non_kv_tokens(self):
         with pytest.raises(ValueError):
@@ -127,6 +152,18 @@ class TestEventSink:
             EventSink(())
         with pytest.raises(ValueError):
             EventSink((StdoutOutput(),), node_id="")
+
+    @pytest.mark.parametrize("node_id", ["edge\nkind=HostRemoved", "a\r", "\tb", "a\u2028b",
+                                         "a\u2029b", "\x00", "a\x7fb", "a\x85b"])
+    def test_a_node_id_that_is_not_printable_is_refused(self, node_id):
+        with pytest.raises(ValueError, match="--node-id must be nonempty and printable"):
+            EventSink((StdoutOutput(),), node_id=node_id)
+
+    def test_a_printable_node_id_keeps_each_event_on_one_line(self):
+        stream = io.StringIO()
+        EventSink((StdoutOutput(stream),), node_id="edge 7 'é'").emit_intrusion(ev(), 1, 2)
+        assert len(stream.getvalue().splitlines()) == 1
+        assert parse_line(stream.getvalue())["node"] == "edge 7 'é'"
 
     def test_emit_intrusion_keeps_no_report_when_delivered(self):
         sink, captured = self.make()
