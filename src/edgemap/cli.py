@@ -156,6 +156,8 @@ def build_sink(args, stream=None) -> EventSink:
         if spec == "stdout":
             outputs.append(StdoutOutput(stream))
         elif spec.startswith("file:"):
+            if not spec[5:]:
+                raise ValueError(f"sink {spec!r} is not file:<path>")
             outputs.append(FileOutput(spec[5:]))
         elif spec.startswith("udp:"):
             host, _, port = spec[4:].rpartition(":")

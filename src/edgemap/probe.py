@@ -5,8 +5,9 @@ timeout: the result is taken when the window closes, then the configured
 ping delay elapses before the next probe.  That keeps the broadcast-heavy
 discovery phase at a hard ceiling of one exchange per window regardless
 of how fast hosts answer.  Port probes are reply-driven: the next probe
-starts one port delay after the previous one resolved, which is what
-bounds TCP traffic to the documented packets-per-second envelope.
+starts one port delay after the previous one resolved.  At the default
+pacing and with sparse open ports, this keeps traffic within the
+documented packets-per-second figures; it is no bound (ROADMAP item 14).
 """
 
 from __future__ import annotations

@@ -2,20 +2,24 @@
 
 Hosts are declarative specs; a timed script action swaps one host's
 spec for another, while a virtual clock drives all timing.  Packet
-accounting follows the classic probe message sequences exactly: a SYN
-scan of an open port is SYN / SYN+ACK / RST (3 packets), of a closed
-port SYN / RST (2); a connect scan of an open port completes the
-handshake, optionally reads the service banner, then resets.
+accounting follows the classic probe message sequences exactly, each
+reply one RTT after its request: an echo is request / reply; a SYN scan
+of an open port is SYN / SYN+ACK / RST (3 packets), of a closed port
+SYN / RST (2).  A connect scan of an open port sends its ACK with the
+SYN+ACK, takes a nonempty banner, when grabbing, one more RTT later,
+then resets with the last packet.  A probe nobody answers is its request
+alone.  The clock is left at the last packet, or at the timeout.
 
 Reply rule, applied to every probe by `SimNetwork._exchange`: a host
 answers only while it is present and participates in ARP (a device with
 ARP disabled is link-layer dark, per the stealth host configuration),
 the probed port is not filtered, and, for an ICMP echo, echo is enabled.
 Only a host that answers draws its RTT, once per probe: base_rtt *
-latency_factor plus a uniform jitter draw in [0, rtt_jitter], then at
-least 1, in microseconds.  A reply later than the timeout is silence.
-A target's reply plan, its spec and what that fixes of every reply, is
-built when the target changes and dropped whenever a due action applies.
+latency_factor plus, when rtt_jitter is set, a uniform draw in
+[0, rtt_jitter], then at least 1, in microseconds.  A reply later than
+the timeout is silence.  A target's reply plan, its spec and what that
+fixes of every reply, is built when the target changes and dropped
+whenever a due action applies.
 """
 
 from __future__ import annotations
@@ -113,14 +117,14 @@ class SimNetwork(ProbeTransport):
 
     # -- probe primitives ---------------------------------------------------
 
-    def _exchange(self, request: str, target: IPv4, timeout: int, port: Optional[int] = None):
-        """Send `request` to `target` and settle its reply, all in this frame.
+    def _exchange(self, request: str, target: IPv4, timeout: int, port: Optional[int] = None,
+                  connect: bool = False, banner_grab: bool = False, banner_max: int = 0):
+        """Send `request` to `target` and settle the whole exchange, all in this frame.
 
         Without a port this is an ARP or ICMP echo and returns a
-        ProbeReply; with one it is a SYN and returns a PortProbe.  An echo
-        reply, a refused SYN or silence comes back with the clock already
-        past it.  An open port comes back with its SYN+ACK recorded and the
-        clock still at the send time, so the caller finishes the exchange.
+        ProbeReply; with one it is a SYN, of a connect scan when `connect`
+        is set, and returns a PortProbe.  It records every packet of the
+        exchange and leaves the clock at the last one, or at the timeout.
         No probe reads host state before the due actions are applied here.
         """
         clock = self.clock
@@ -148,16 +152,26 @@ class SimNetwork(ProbeTransport):
                     clock._now = t0 + rtt
                     return ProbeReply(True, rtt)
                 if port in host.open_ports:
-                    self.counters.record(request, t0)
-                    self.counters.record("tcp_synack", t0 + rtt)
+                    counters, end, banner = self.counters, t0 + rtt, None
+                    counters.record(request, t0)
+                    counters.record("tcp_synack", end)
+                    if connect:
+                        counters.record("tcp_ack", end)
+                        served = host.open_ports[port]
+                        if banner_grab and served:
+                            end += rtt  # the service pushes it a round trip after the handshake
+                            counters.record("banner_data", end, len(served))
+                            banner = served[:banner_max]
+                    counters.record("tcp_rst", end)  # the scanner tears the connection down
+                    clock.advance_to(end)
                     # tuple.__new__ skips the NamedTuple's Python-level __new__
-                    return tuple.__new__(PortProbe, (_OPEN, None, rtt))
+                    return tuple.__new__(PortProbe, (_OPEN, banner, rtt))
                 self.counters.record_exchange(request, t0, "tcp_rst", t0 + rtt)  # refused
                 clock._now = t0 + rtt
                 return self._closed_probe or tuple.__new__(PortProbe, (_CLOSED, None, rtt))
-        self.counters.record(request, t0)
         if timeout < 0:  # the clock never moves backwards
             raise ValueError(f"negative timeout {timeout}")
+        self.counters.record(request, t0)
         clock._now = t0 + timeout
         return _NO_REPLY if port is None else _FILTERED_PROBE
 
@@ -167,28 +181,9 @@ class SimNetwork(ProbeTransport):
     def icmp_ping(self, target: IPv4, timeout: int) -> ProbeReply:
         return self._exchange("icmp_request", target, timeout)
 
-    def _reset(self, when: int) -> None:
-        self.counters.record("tcp_rst", when)
-        self.clock.advance_to(when)
-
     def tcp_syn(self, target: IPv4, port: int, timeout: int) -> PortProbe:
-        probe = self._exchange("tcp_syn", target, timeout, port)
-        if probe.state is _OPEN:
-            self._reset(self.clock.now() + probe.rtt)  # scanner tears down half-open
-        return probe
+        return self._exchange("tcp_syn", target, timeout, port)
 
     def tcp_connect(self, target: IPv4, port: int, timeout: int,
                     banner_grab: bool = True, banner_max: int = 128) -> PortProbe:
-        probe = self._exchange("tcp_syn", target, timeout, port)
-        if probe.state is not _OPEN:
-            return probe
-        t0, rtt = self.clock.now(), probe.rtt
-        self.counters.record("tcp_ack", t0 + rtt)
-        banner = self._host.open_ports[port]  # the host _exchange just reached
-        if banner_grab and banner:
-            # service pushes its banner one round trip after the handshake
-            self.counters.record("banner_data", t0 + 2 * rtt, len(banner))
-            self._reset(t0 + 2 * rtt)
-            return PortProbe(_OPEN, banner[:banner_max], rtt)
-        self._reset(t0 + rtt)
-        return probe
+        return self._exchange("tcp_syn", target, timeout, port, True, banner_grab, banner_max)

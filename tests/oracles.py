@@ -90,3 +90,44 @@ def reference_intrusion_line(node_id, epoch, ts, event):
         fields.append(("port", event.port))
     fields += [("baseline", event.baseline_value), ("observed", event.observed_value)]
     return " ".join(f"{key}={shlex.quote(str(value))}" for key, value in fields)
+
+
+def reference_probe(spec, request, port, t0, timeout, draw, connect=False,
+                    banner_grab=True, banner_max=128):
+    """One simulated probe by the rules of the simnet module docstring.
+
+    `spec` is the target's SimHostSpec, or None where no host is;
+    `request` is "arp_request", "icmp_request" or "tcp_syn"; `connect`
+    picks a connect scan over a SYN scan; `draw(n)` is the network's
+    jitter stream, uniform in [0, n).  Returns the packets as (class,
+    time, banner length) tuples, the result as a plain tuple (an echo's
+    (replied, rtt), a port's (state value, banner, rtt)) and the clock
+    after the probe.
+    """
+    rtt = None
+    if (spec is not None and spec.arp_enabled and port not in spec.filtered_ports
+            and (spec.icmp_echo_enabled or request != "icmp_request")):
+        rtt = int(spec.base_rtt * spec.latency_factor)
+        if spec.rtt_jitter:
+            rtt += draw(spec.rtt_jitter + 1)
+        rtt = max(rtt, 1)
+    if rtt is None or rtt > timeout:  # silence: the scanner waits out the timeout
+        silent = (False, None) if port is None else ("filtered", None, None)
+        return [(request, t0, 0)], silent, t0 + timeout
+    replied = t0 + rtt
+    if port is None:
+        reply = {"arp_request": "arp_reply", "icmp_request": "icmp_reply"}[request]
+        return [(request, t0, 0), (reply, replied, 0)], (True, rtt), replied
+    if port not in spec.open_ports:  # refused
+        return [("tcp_syn", t0, 0), ("tcp_rst", replied, 0)], ("closed", None, rtt), replied
+    packets = [("tcp_syn", t0, 0), ("tcp_synack", replied, 0)]
+    banner, end = None, replied
+    if connect:
+        packets.append(("tcp_ack", replied, 0))
+        served = spec.open_ports[port]
+        if banner_grab and served:  # pushed one round trip after the handshake
+            end = replied + rtt
+            packets.append(("banner_data", end, len(served)))
+            banner = served[:banner_max]
+    packets.append(("tcp_rst", end, 0))
+    return packets, ("open", banner, rtt), end

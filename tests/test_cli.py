@@ -392,6 +392,11 @@ EXIT_CODE_ROWS = [
        lambda ws, spec=spec: _simulate(ws, "change.scn", "--sink", spec), 2)
       for spec in ("udp:127.0.0.1:70000", "udp:127.0.0.1:0", "udp:127.0.0.1:-5",
                    "udp::514", "udp:514")),
+    # an empty path: every line would fail into sink.reports
+    ("simulate", "file sink with no path", None,
+     lambda ws: _simulate(ws, "change.scn", "--sink", "file:"), 2),
+    ("monitor", "file sink with no path", _baseline,
+     lambda ws: ["monitor", "--epochs", "1", "--sink", "file:"] + common(ws), 2),
     # a line break in the node id would split every event line in two
     ("simulate", "node id with a line break", None,
      lambda ws: _simulate(ws, "change.scn", "--node-id", "edge\nkind=HostRemoved"), 2),

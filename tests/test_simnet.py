@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import small_config
+from oracles import reference_probe
 from edgemap.model import PortState
 from edgemap.probe import scan_host_ports
 from edgemap.rng import Prng
@@ -398,6 +399,79 @@ class TestReachability:
         with pytest.raises(ValueError):
             getattr(net, primitive)(*args)
         assert net.clock.now() == 5 * SEC
+        # nor counts a packet it never sent
+        assert net.counters.total_packets() == 0 and list(net.counters.seconds()) == []
+
+
+# A port is closed unless a host's spec names it: open with a banner, an
+# empty banner or none, or filtered.
+PORTS = range(1, 7)
+port_roles = st.sampled_from(["open-banner", "open-banner", "open-empty", "open-none",
+                              "filtered", "closed"])
+host_specs = st.builds(
+    lambda last, arp, echo, roles, banner, base_rtt, jitter, factor: SimHostSpec(
+        address=A(f"10.0.0.{last}"), arp_enabled=arp, icmp_echo_enabled=echo,
+        open_ports={port: {"open-banner": banner, "open-empty": b"", "open-none": None}[role]
+                    for port, role in zip(PORTS, roles) if role.startswith("open")},
+        filtered_ports=frozenset(port for port, role in zip(PORTS, roles) if role == "filtered"),
+        base_rtt=base_rtt, rtt_jitter=jitter, latency_factor=factor),
+    st.integers(1, 3), st.sampled_from([True, True, True, False]), st.booleans(),
+    st.lists(port_roles, min_size=len(PORTS), max_size=len(PORTS)),
+    st.binary(min_size=1, max_size=40), st.integers(1, 3000),
+    st.sampled_from([0, 0, 1, 250]), st.sampled_from([1.0, 1.0, 0.5, 2.5, 0.0001]))
+# (last address byte, port, timeout, (round trips, nudge), banner_grab,
+# banner_max); 10.0.0.9 is dark.  Each probe is sent that many of the
+# target's unjittered round trips plus the nudge before a second boundary,
+# so that a packet lands just before, on or just after it.
+probe_steps = st.tuples(st.sampled_from([1, 1, 2, 3, 9]), st.sampled_from(PORTS),
+                        st.integers(1, 8000),
+                        st.tuples(st.sampled_from([0, 1, 2]),
+                                  st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, 8000))),
+                        st.booleans(), st.sampled_from([0, 1, 4, 128]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(host_specs, min_size=1, max_size=3, unique_by=lambda spec: spec.address),
+       st.lists(probe_steps, min_size=1, max_size=8), st.integers(0, 2**32))
+def test_every_probe_matches_the_reference_packet_by_packet(specs, steps, seed):
+    """Each step sends all four primitives to one target, each probe just
+    before a second boundary, so its packets may fall in two seconds."""
+    net, mirror = SimNetwork(specs, seed=seed), Prng(seed)
+    hosts = {spec.address: spec for spec in specs}
+    packets, clock = [], 0
+    for last, port, timeout, (round_trips, nudge), grab, most in steps:
+        target = A(f"10.0.0.{last}")
+        spec = hosts.get(target)
+        rtt = max(int(spec.base_rtt * spec.latency_factor), 1) if spec else 0
+        early = max(round_trips * rtt + nudge, 0)
+        for request, probed, connect, send in (
+                ("arp_request", None, False, lambda: net.arp_probe(target, timeout)),
+                ("icmp_request", None, False, lambda: net.icmp_ping(target, timeout)),
+                ("tcp_syn", port, False, lambda: net.tcp_syn(target, port, timeout)),
+                ("tcp_syn", port, True,
+                 lambda: net.tcp_connect(target, port, timeout, grab, most))):
+            sent = (clock // SEC + 1) * SEC - early
+            clock = sent if sent >= clock else sent + SEC
+            net.clock.advance_to(clock)
+            got = send()
+            sent_packets, expected, clock = reference_probe(
+                spec, request, probed, clock, timeout, mirror.below,
+                connect, grab, most)
+            packets += sent_packets
+            step = (request, connect, target, port, timeout, grab, most)
+            result = tuple(got) if probed is None else (got.state.value, *got[1:])
+            assert result == expected, step
+            assert net.clock.now() == clock, step
+            seconds = sorted({when // SEC for _, when, _ in packets})
+            c = net.counters
+            assert list(c.seconds()) == seconds, step
+            assert {cls: list(column) for cls, column in c.per_second.items()} == {
+                cls: [sum(1 for kind, when, _ in packets if kind == cls and when // SEC == sec)
+                      for sec in seconds] for cls in PACKET_CLASSES}, step
+            assert list(c.per_second_bytes["banner_data"]) == [
+                sum(size + 66 for kind, when, size in packets
+                    if kind == "banner_data" and when // SEC == sec) for sec in seconds], step
+    assert net._prng.next_u64() == mirror.next_u64()
 
 
 class TestScript:
