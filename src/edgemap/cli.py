@@ -47,7 +47,7 @@ EXIT_BAD_SCRIPT = 6
 # Every failure that leaves a command, mapped to its exit code.  First match
 # wins.  An unreadable scenario is converted to MalformedScript where it is
 # read, and an unreadable fingerprint file to CorruptRecord, so OSError here
-# means the transport or the local state (state dir, --out, config file).
+# means the transport or the local state (state dir, --out, config file, file sink).
 EXIT_CODES = (
     (TrustedAlreadyExists, EXIT_TRUSTED_EXISTS),
     (NotFound, EXIT_NO_BASELINE),
@@ -156,9 +156,16 @@ def build_sink(args, stream=None) -> EventSink:
         if spec == "stdout":
             outputs.append(StdoutOutput(stream))
         elif spec.startswith("file:"):
-            if not spec[5:]:
+            path = spec[5:]
+            folder = os.path.dirname(path) or "."
+            # each line reopens the file, so it is checked here, not created
+            if not path:
                 raise ValueError(f"sink {spec!r} is not file:<path>")
-            outputs.append(FileOutput(spec[5:]))
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"sink {spec!r} is a directory")
+            if not os.path.isdir(folder):
+                raise NotADirectoryError(f"sink {spec!r}: {folder} is not a directory")
+            outputs.append(FileOutput(path))
         elif spec.startswith("udp:"):
             host, _, port = spec[4:].rpartition(":")
             if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:

@@ -60,7 +60,6 @@ import os
 import re
 import zlib
 from dataclasses import replace
-from operator import lt
 
 from .errors import CorruptRecord, NotFound, TrustedAlreadyExists
 from .model import PORT_CODES, HostRecord, NetworkFingerprint, PortTable, dotted_quad
@@ -100,19 +99,17 @@ def dumps_fingerprint(fp: NetworkFingerprint) -> bytes:
     return bytes(out)
 
 
-# The layout of the module docstring, matched on the record's bytes one
-# host at a time.  A repeated group keeps a backtracking entry of a few
-# hundred bytes per repetition until its match returns, so the per-line
-# v1 reader matches port lines, and builds their codes, at most 1,024 at
-# a time (one match for the default port range), and v2 runs and banner
-# lines (hex of any length) one at a time.  A port number has at most
-# five digits, so a table is at most 100,000 bytes before PortTable
-# refuses the ports above 65535.
+# The layout of the module docstring, matched on the record's bytes: the
+# preamble, then each host's line and rtt line, and each port, run and
+# banner line (hex of any length), one match at a time.  A port number
+# has at most five digits, so a table is at most 100,000 bytes before
+# PortTable refuses the ports above 65535.
 _NUMBER = rb"(?:0|[1-9][0-9]*)"
 _PREAMBLE = re.compile(rb"digest ([0-9a-f]{16})\ntrusted ([01])\n"
                        rb"started (%s)\nfinished (%s)\n" % (_NUMBER, _NUMBER))
 _HOST = re.compile(rb"host ([0-9.]+) (?:up\nrtt ((?:%s )*%s)|silent)\n" % (_NUMBER, _NUMBER))
-_V1_PORTS = re.compile(rb"(?:port (?!0[0-9])[0-9]{1,5} (?:open|closed|filtered)\n){1,1024}")
+# a v1 port line: its port (PortTable refuses 0), then its state
+_V1_LINE = re.compile(rb"port ((?!0[0-9])[0-9]{1,5}) (open|closed|filtered)\n")
 # a v2 run: the lo of a `ports` line, then the hi, or the one port of a `port` line
 _RUN = re.compile(rb"port(?:s ([1-9][0-9]{0,4})-| )([1-9][0-9]{0,4}) (open|closed|filtered)\n")
 _BANNER = re.compile(rb"banner (%s) ([0-9a-f]*)\n" % _NUMBER)
@@ -129,7 +126,6 @@ _TRAILER = re.compile(rb"checksum ([0-9a-f]{8})\n")
 # lines `port p <common>\n` of its ports.  A match of ` <word>\n` ends at
 # its line's newline and no rewrite makes one, so a rewritten line is
 # `port p <common>\n` only if it was `port p <a state word>\n`.
-_V1_PORT = re.compile(rb"port ([1-9][0-9]{0,4}) ")  # a line's port, as the writer wrote it
 _V1_BLOCK_END = re.compile(rb"\n[^p]")  # the end of the last line starting with `p`
 # each state's line end, by its code
 _V1_ENDS = {code: b" %s\n" % name.encode() for name, code in PORT_CODES.items()}
@@ -152,16 +148,16 @@ def _v1_stretch(data: bytes, pos: int):
     of what that reader accepts, to the same codes, and leaves every other
     block, and so every refusal and its message, to it.
     """
-    head = _V1_PORT.match(data, pos)
+    head = _V1_LINE.match(data, pos)
     if head is None:
         return None
     # the record ends with its checksum line, so a line not starting with `p` follows
     end = _V1_BLOCK_END.search(data, pos).start() + 1
-    tail = _V1_PORT.match(data, max(pos, data.rfind(b"\n", pos, end - 1) + 1))
+    tail = _V1_LINE.match(data, max(pos, data.rfind(b"\n", pos, end - 1) + 1))
     if tail is None:
         return None
     lo, hi = int(head[1]), int(tail[1])
-    if not lo <= hi <= 65535:
+    if not 1 <= lo <= hi <= 65535:
         return None
     codes = bytearray()
     for start in range(lo, hi + 1, 1024):
@@ -189,19 +185,15 @@ def _v1_ports(data: bytes, pos: int, addr) -> tuple:
     if stretch is not None:
         return stretch
     first, codes = 0, bytearray()
-    while run := _V1_PORTS.match(data, pos):
-        words = run[0].split()
-        ports = list(map(int, words[1::3]))
-        run_codes = bytes(map(_CODE_BY_WIRE.__getitem__, words[2::3]))
-        lo, hi = ports[0], ports[-1]
+    while line := _V1_LINE.match(data, pos):
+        port = int(line[1])
         if not codes:
-            first = lo
-        if lo < first + len(codes) or not all(map(lt, ports, ports[1:])):
+            first = port
+        elif port < first + len(codes):
             raise CorruptRecord(f"ports of host {addr} repeated or out of ascending order")
-        codes += bytes(hi - first + 1 - len(codes))
-        for port, code in zip(ports, run_codes):
-            codes[port - first] = code
-        pos = run.end()
+        codes += bytes(port - first - len(codes))
+        codes.append(_CODE_BY_WIRE[line[2]])
+        pos = line.end()
     return first, codes, pos
 
 

@@ -11,6 +11,7 @@ from edgemap.osnet import OsNetwork
 from edgemap.simnet import SimNetwork
 from edgemap.store import dumps_fingerprint, loads_fingerprint
 from edgemap.transport import ProbeReply
+from test_golden import SCENARIOS
 
 CONF = """\
 address_range = 10.0.0.1-10.0.0.3
@@ -262,6 +263,17 @@ class TestSimulate:
         peak = next(line for line in lines if line.startswith("peak "))
         assert "discovery_pps=" in peak and "tcp_pps=" in peak
 
+    # each pacing flag beats the value scenarios/sim.conf gives it
+    @pytest.mark.parametrize("flags, ts", [
+        ([], 187425500), (["--rescan-interval", "60s"], 127425500),
+        (["--port-delay", "50ms"], 174625500), (["--ping-delay", "200ms"], 191025500)])
+    def test_a_pacing_flag_moves_the_first_event(self, flags, ts):
+        code, text = run(["simulate", str(SCENARIOS / "02-service-changed.scn"),
+                          "--config", str(SCENARIOS / "sim.conf"), "--rates", "none", *flags])
+        assert code == 0
+        first = next(line for line in text.splitlines() if " epoch=1 " in line)
+        assert first.split()[2] == f"ts={ts}"
+
     def test_malformed_scenario_exit_6(self, ws):
         (ws / "bad.scn").write_text("host not-an-ip\n")
         code, _ = run(["simulate", str(ws / "bad.scn"),
@@ -316,6 +328,23 @@ def _plain_file(ws):
 def _simulate(ws, scn, *extra):
     return ["simulate", str(ws / scn), "--config", str(ws / "edge.conf"),
             "--epochs", "1", *extra]
+
+
+def _with_no_probe(ws, monkeypatch, command):
+    """The argv of `simulate`, or of `monitor` after a baseline, on the
+    change scenario, with every simulated probe failing the test."""
+    if command == "monitor":
+        _baseline(ws)
+        argv = ["monitor", "--epochs", "1"] + common(ws)
+    else:
+        argv = _simulate(ws, "change.scn", "--state-dir", str(ws / "state"))
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe sent")
+
+    for name in ("arp_probe", "icmp_ping", "tcp_connect", "tcp_syn"):
+        monkeypatch.setattr(SimNetwork, name, no_probe)
+    return argv
 
 
 def _write(name, text):
@@ -397,6 +426,16 @@ EXIT_CODE_ROWS = [
      lambda ws: _simulate(ws, "change.scn", "--sink", "file:"), 2),
     ("monitor", "file sink with no path", _baseline,
      lambda ws: ["monitor", "--epochs", "1", "--sink", "file:"] + common(ws), 2),
+    # a directory, or a path in no directory: every line would fail into sink.reports
+    ("simulate", "file sink on a directory", None,
+     lambda ws: _simulate(ws, "change.scn", "--sink", f"file:{ws}"), 3),
+    ("monitor", "file sink on a directory", _baseline,
+     lambda ws: ["monitor", "--epochs", "1", "--sink", f"file:{ws}"] + common(ws), 3),
+    ("simulate", "file sink in a missing directory", None,
+     lambda ws: _simulate(ws, "change.scn", "--sink", f"file:{ws / 'missing' / 'x.log'}"), 3),
+    ("monitor", "file sink in a missing directory", _baseline,
+     lambda ws: ["monitor", "--epochs", "1", "--sink", f"file:{ws / 'missing' / 'x.log'}"]
+     + common(ws), 3),
     # a line break in the node id would split every event line in two
     ("simulate", "node id with a line break", None,
      lambda ws: _simulate(ws, "change.scn", "--node-id", "edge\nkind=HostRemoved"), 2),
@@ -449,6 +488,22 @@ class TestSinkWiring:
         assert code == 0
         assert "kind=PortOpened" in log.read_text()
 
+    @pytest.mark.parametrize("path, problem", [
+        ("{ws}", " is a directory"),
+        ("{ws}/missing/x.log", ": {ws}/missing is not a directory"),
+        ("{ws}/edge.conf/x.log", ": {ws}/edge.conf is not a directory")],
+        ids=["a-directory", "in-a-missing-directory", "in-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "monitor"])
+    def test_an_unusable_file_sink_is_refused_before_any_probe(
+            self, ws, capsys, monkeypatch, command, path, problem):
+        argv = _with_no_probe(ws, monkeypatch, command)
+        before = sorted(ws.rglob("*"))
+        capsys.readouterr()
+        spec = f"file:{path.format(ws=ws)}"
+        assert run(argv + ["--sink", spec]) == (3, "")
+        assert capsys.readouterr().err == f"error: sink {spec!r}{problem.format(ws=ws)}\n"
+        assert sorted(ws.rglob("*")) == before
+
     @pytest.mark.parametrize("spec", ["file:{log}", "stdout"])
     def test_repeated_sink_is_refused(self, ws, capsys, spec):
         log = ws / "dup.log"
@@ -465,20 +520,11 @@ UNPRINTABLE_NODE_IDS = ["edge\nkind=HostRemoved", "a\rb", "a\tb", "a\u2028b", "a
 @pytest.mark.parametrize("command", ["simulate", "monitor"])
 def test_a_node_id_that_is_not_printable_is_refused_before_any_probe(
         ws, capsys, monkeypatch, command, node_id):
-    if command == "monitor":
-        _baseline(ws)
-        argv = ["monitor", "--epochs", "1"] + common(ws)
-    else:
-        argv = _simulate(ws, "change.scn", "--state-dir", str(ws / "state"))
+    argv = _with_no_probe(ws, monkeypatch, command)
     before = sorted(ws.rglob("*"))
     capsys.readouterr()
-
-    def no_probe(*args, **kwargs):
-        raise AssertionError("probe sent")
-
-    for name in ("arp_probe", "icmp_ping", "tcp_connect", "tcp_syn"):
-        monkeypatch.setattr(SimNetwork, name, no_probe)
-    assert run(argv + ["--node-id", node_id]) == (2, "")
+    # refused once the outputs are built, which leaves no log file
+    assert run(argv + ["--node-id", node_id, "--sink", f"file:{ws / 'events.log'}"]) == (2, "")
     assert capsys.readouterr().err == (
         f"error: --node-id must be nonempty and printable, not {node_id!r}\n")
     assert sorted(ws.rglob("*")) == before

@@ -102,6 +102,15 @@ class TestOutputs:
         out.write_line("b=2")
         assert path.read_text() == "a=1\nb=2\n"
 
+    def test_file_output_follows_a_rotated_log(self, tmp_path):
+        path = tmp_path / "events.log"
+        out = FileOutput(path)
+        out.write_line("a=1")
+        path.rename(tmp_path / "events.log.1")
+        out.write_line("b=2")
+        assert (tmp_path / "events.log.1").read_text() == "a=1\n"
+        assert path.read_text() == "b=2\n"
+
     def test_udp_output_delivers(self):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as recv:
             recv.bind(("127.0.0.1", 0))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import ipaddress
 import itertools
 import os
@@ -254,6 +255,7 @@ V1_EDITS = {
     **{f"{first.decode()} {second.decode()} on a line, none on the next":
        at(100, b"port 101 %s %s" % (first, second), b"port 102")
        for first, second in itertools.permutations([b"open", b"closed", b"filtered"], 2)},
+    "a port 0 line first": lambda lines: [b"port 0 open"] + lines,
     "port 022": at(21, b"port 022 closed"),
     "port 1_0": at(9, b"port 1_0 closed"),
     "port +5": at(4, b"port +5 closed"),
@@ -332,6 +334,27 @@ def test_the_v1_bulk_step_reads_each_stretch(stretch):
     states = [line.split()[2].decode() for line in stretch]
     assert (first, bytes(codes)) == (1, bytes(map(PORT_CODES.get, states)))
     assert data.startswith(b"host 10.0.0.2 ", end)
+
+
+# every V1_EDITS x STRETCHES outcome of the per-line reader alone, captured
+# when that reader matched up to 1,024 port lines at once
+PER_LINE_OUTCOMES_SHA256 = "3b83bab73aa06d0a599036d52f45150ff913036efd4c1505c032e3352320f001"
+
+
+def test_the_v1_per_line_reader_keeps_every_outcome(monkeypatch):
+    """Each edited stretch loads through the per-line reader alone to the
+    same record bytes, or is refused with the same message, as pinned."""
+    monkeypatch.setattr(store, "_v1_stretch", lambda data, pos: None)
+    digest = hashlib.sha256()
+    for make in STRETCHES.values():
+        lines = make()
+        for edit in V1_EDITS.values():
+            try:
+                outcome = dumps_fingerprint(loads_fingerprint(v1_record(edit(lines))))
+            except CorruptRecord as exc:
+                outcome = f"CorruptRecord: {exc}".encode()
+            digest.update(b"%d:%s\n" % (len(outcome), outcome))
+    assert digest.hexdigest() == PER_LINE_OUTCOMES_SHA256
 
 
 def random_hosts(count, ports):
