@@ -30,7 +30,7 @@ from .osnet import OsNetwork
 from .probe import full_sweep
 from .rng import Prng
 from .scheduler import make_schedule, run_monitor
-from .sink import EventSink, FileOutput, StdoutOutput, UdpOutput, format_intrusion
+from .sink import format_intrusion, open_sink
 from .store import FingerprintStore, dumps_fingerprint, loads_fingerprint
 from .timebase import SECOND, format_duration, parse_duration
 from .transport import DISCOVERY_CLASSES, PACKET_CLASSES, TCP_CLASSES, TCP_CONTROL_BYTES
@@ -142,38 +142,12 @@ def build_transport(backend, config: ScanConfig):
     raise ValueError(f"unknown backend {backend!r} (use 'os' or 'sim:<scenario>')")
 
 
-def build_sink(args, stream=None) -> EventSink:
-    outputs = []
-    specs = list(getattr(args, "sink", None) or [])
+def build_sink(args, stream=None):
+    """The --sink outputs, plus the EDGEMAP_LOGGER one if no UDP output is given; or stdout."""
+    specs = list(args.sink or [])
     if not any(spec.startswith("udp:") for spec in specs) and os.environ.get(LOGGER_ENV):
         specs.append("udp:" + os.environ[LOGGER_ENV])
-    if not specs:
-        specs = ["stdout"]
-    repeated = sorted({spec for spec in specs if specs.count(spec) > 1})
-    if repeated:  # an output named twice would get every line twice
-        raise ValueError(f"sink given more than once: {', '.join(repeated)}")
-    for spec in specs:
-        if spec == "stdout":
-            outputs.append(StdoutOutput(stream))
-        elif spec.startswith("file:"):
-            path = spec[5:]
-            folder = os.path.dirname(path) or "."
-            # each line reopens the file, so it is checked here, not created
-            if not path:
-                raise ValueError(f"sink {spec!r} is not file:<path>")
-            if os.path.isdir(path):
-                raise IsADirectoryError(f"sink {spec!r} is a directory")
-            if not os.path.isdir(folder):
-                raise NotADirectoryError(f"sink {spec!r}: {folder} is not a directory")
-            outputs.append(FileOutput(path))
-        elif spec.startswith("udp:"):
-            host, _, port = spec[4:].rpartition(":")
-            if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
-                raise ValueError(f"sink {spec!r} is not udp:<host>:<port 1-65535>")
-            outputs.append(UdpOutput(host, int(port)))
-        else:
-            raise ValueError(f"unknown sink {spec!r}")
-    return EventSink(tuple(outputs), node_id=getattr(args, "node_id", "edgemap"))
+    return open_sink(specs or ["stdout"], args.node_id, stream)
 
 
 def _sweep(args, config):

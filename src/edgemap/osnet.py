@@ -7,6 +7,13 @@ error that says the local network or the socket itself is gone raises
 TransportDown; an unreachable or down host, or a timeout, is an
 observed absence.
 
+A banner is what an open port sends until `banner_max` bytes, end of
+stream or the close of its window, `min(connect timeout, 0.5 s)` from
+the handshake, however many TCP segments it comes in; so a service that
+closes after its banner costs no wait, and one that holds the connection
+open costs the window, as a silent open port does.  Every socket is
+closed however its probe ends, even by a `BaseException`.
+
 Packet counters are filled from the socket behavior we can observe (one
 entry per message of the probe sequence), which keeps rate assertions
 meaningful even though the kernel owns the actual wire traffic.
@@ -106,39 +113,45 @@ class OsNetwork(ProbeTransport):
                     banner_grab: bool = True, banner_max: int = 128) -> PortProbe:
         t0 = self.clock.now()
         self.counters.record("tcp_syn", t0)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout / SECOND)
-        try:
-            sock.connect((str(target), port))
-        except ConnectionRefusedError:
-            now = self.clock.now()
-            self.counters.record("tcp_rst", now)
-            sock.close()
-            return PortProbe(PortState.CLOSED, rtt=now - t0)
-        except OSError as exc:  # socket.timeout included
-            sock.close()
-            if exc.errno in _TRANSPORT_ERRNOS:
-                raise TransportDown(f"connect to {target}:{port}: {exc}") from exc
-            return PortProbe(PortState.FILTERED)
-        now = self.clock.now()
-        rtt = now - t0
-        self.counters.record("tcp_synack", now)
-        self.counters.record("tcp_ack", now)
-        banner: Optional[bytes] = None
-        if banner_grab:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.settimeout(timeout / SECOND)
             try:
-                sock.settimeout(min(timeout, SECOND // 2) / SECOND)
-                data = sock.recv(banner_max)
-                if data:
-                    banner = data
-                    self.counters.record("banner_data", self.clock.now(), len(data))
-            except (socket.timeout, OSError):
+                sock.connect((str(target), port))
+            except ConnectionRefusedError:
+                now = self.clock.now()
+                self.counters.record("tcp_rst", now)
+                return PortProbe(PortState.CLOSED, rtt=now - t0)
+            except OSError as exc:  # socket.timeout included
+                if exc.errno in _TRANSPORT_ERRNOS:
+                    raise TransportDown(f"connect to {target}:{port}: {exc}") from exc
+                return PortProbe(PortState.FILTERED)
+            now = self.clock.now()
+            self.counters.record("tcp_synack", now)
+            self.counters.record("tcp_ack", now)
+            banner = (self._read_banner(sock, now + min(timeout, SECOND // 2), banner_max)
+                      if banner_grab else None)
+            # reset instead of orderly FIN so the probe mirrors the scan sequence
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            except OSError:
                 pass
-        # reset instead of orderly FIN so the probe mirrors the scan sequence
+            self.counters.record("tcp_rst", self.clock.now())
+        return PortProbe(PortState.OPEN, banner=banner, rtt=now - t0)
+
+    def _read_banner(self, sock, deadline: int, banner_max: int) -> Optional[bytes]:
+        """What the service sends until `banner_max` bytes, end of stream or
+        `deadline`, whichever comes first, however many segments it takes."""
+        data = b""
         try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        except OSError:
+            while len(data) < banner_max and (left := deadline - self.clock.now()) > 0:
+                sock.settimeout(left / SECOND)
+                segment = sock.recv(banner_max - len(data))
+                if not segment:
+                    break
+                data += segment
+        except OSError:  # socket.timeout included: the window closed
             pass
-        self.counters.record("tcp_rst", self.clock.now())
-        sock.close()
-        return PortProbe(PortState.OPEN, banner=banner, rtt=rtt)
+        if not data:
+            return None
+        self.counters.record("banner_data", self.clock.now(), len(data))
+        return data

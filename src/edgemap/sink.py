@@ -8,10 +8,23 @@ break splits a line), baseline and observed values need quoting: kind,
 dotted-quad address and port are safe words as they stand.  The same
 line goes to every configured output; UDP datagrams are fire-and-forget
 and capped at 512 bytes by truncating values, never keys.
+
+This module alone turns a `--sink` spec (`stdout`, `file:<path>` or
+`udp:<host>:<port>`) into an output.  Each output checks its spec, is
+named by it, and knows its target, so `open_sink` refuses, before any
+line is sent: a spec given twice; then, spec by spec, one at fault or one
+whose target an earlier output has (the same file after
+`os.path.realpath`, or the same UDP host, in any case, and port); then
+the node id.  UDP goes over IPv4 only, so an IPv6 literal is refused, and
+so is a host of digits and dots that is no dotted quad.  Host names are
+not resolved, since a node's DNS may come up after the node: two names
+for one address are not caught.
 """
 
 from __future__ import annotations
 
+import ipaddress
+import os
 import socket
 import sys
 from dataclasses import dataclass, field
@@ -73,7 +86,7 @@ def parse_line(line: str) -> dict:
 # -- outputs ----------------------------------------------------------------
 
 class StdoutOutput:
-    name = "stdout"
+    name = target = "stdout"
 
     def __init__(self, stream=None):
         self._stream = stream
@@ -85,9 +98,18 @@ class StdoutOutput:
 
 
 class FileOutput:
-    def __init__(self, path):
-        self.path = path
-        self.name = f"file:{path}"
+    def __init__(self, spec: str):
+        self.name = spec
+        self.path = spec[5:]
+        folder = os.path.dirname(self.path) or "."
+        # each line reopens the file, so it is checked here, not created
+        if not self.path:
+            raise ValueError(f"sink {spec!r} is not file:<path>")
+        if os.path.isdir(self.path):
+            raise IsADirectoryError(f"sink {spec!r} is a directory")
+        if not os.path.isdir(folder):
+            raise NotADirectoryError(f"sink {spec!r}: {folder} is not a directory")
+        self.target = os.path.realpath(self.path)
 
     def write_line(self, line: str) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -95,15 +117,24 @@ class FileOutput:
 
 
 class UdpOutput:
-    def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
-        self.name = f"udp:{host}:{port}"
+    def __init__(self, spec: str):
+        self.name = spec
+        host, _, port = spec[4:].rpartition(":")
+        if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+            raise ValueError(f"sink {spec!r} is not udp:<host>:<port 1-65535>")
+        if ":" in host or host.startswith("["):
+            raise ValueError(f"sink {spec!r} names an IPv6 host; UDP sinks send over IPv4 only")
+        if set(host) <= set("0123456789."):  # meant as a dotted quad, not a host name
+            try:
+                ipaddress.IPv4Address(host)
+            except ValueError:
+                raise ValueError(f"sink {spec!r}: {host} is not an IPv4 address") from None
+        self.address = (host, int(port))
+        self.target = (host.lower(), int(port))
 
     def write_line(self, line: str) -> None:
-        payload = _fit_udp(line)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            sock.sendto(payload, (self.host, self.port))
+            sock.sendto(_fit_udp(line), self.address)
 
 
 def _fit_udp(line: str) -> bytes:
@@ -163,3 +194,22 @@ class EventSink:
     def emit_operational(self, message: str, epoch: int, ts: int,
                          severity: Severity = Severity.INFO) -> None:
         self._deliver(format_operational(self.node_id, epoch, ts, message, severity))
+
+
+def open_sink(specs: list, node_id: str, stream=None) -> EventSink:
+    """The sink on the outputs `specs` name, `stdout` writing to `stream`.  A
+    repeated spec is refused first, then each spec in order, then the node id."""
+    repeated = sorted({spec for spec in specs if specs.count(spec) > 1})
+    if repeated:  # an output named twice would get every line twice
+        raise ValueError(f"sink given more than once: {', '.join(repeated)}")
+    outputs, kinds = [], {"file:": FileOutput, "udp:": UdpOutput}
+    for spec in specs:
+        kind = spec[:spec.find(":") + 1]  # through the first colon, if any
+        if spec != "stdout" and kind not in kinds:
+            raise ValueError(f"unknown sink {spec!r}")
+        output = StdoutOutput(stream) if spec == "stdout" else kinds[kind](spec)
+        same = [other.name for other in outputs if other.target == output.target]
+        if same:  # one target in two spellings would get every line twice too
+            raise ValueError(f"sink {spec!r} names the same target as {same[0]!r}")
+        outputs.append(output)
+    return EventSink(tuple(outputs), node_id)

@@ -421,6 +421,24 @@ EXIT_CODE_ROWS = [
        lambda ws, spec=spec: _simulate(ws, "change.scn", "--sink", spec), 2)
       for spec in ("udp:127.0.0.1:70000", "udp:127.0.0.1:0", "udp:127.0.0.1:-5",
                    "udp::514", "udp:514")),
+    # an IPv6 literal, or a dotted quad out of range: the IPv4 socket
+    # could send no line to it
+    *((command, f"udp sink {spec}", prepare,
+       lambda ws, spec=spec, argv=argv: argv(ws) + ["--sink", spec], 2)
+      for spec in ("udp:::1:514", "udp:[::1]:514", "udp:10.0.0.300:514")
+      for command, prepare, argv in (
+          ("simulate", None, lambda ws: _simulate(ws, "change.scn")),
+          ("monitor", _baseline, lambda ws: ["monitor", "--epochs", "1"] + common(ws)))),
+    # one target in two spellings would get every line twice
+    *((command, f"{kind} sink named twice", prepare,
+       lambda ws, specs=specs, argv=argv: argv(ws) + [
+           arg for spec in specs for arg in ("--sink", spec.format(ws=ws))], 2)
+      for kind, specs in (("file", ("file:{ws}/dup.log", "file:{ws}/./dup.log")),
+                          ("udp", ("udp:127.0.0.1:514", "udp:127.0.0.1:0514")),
+                          ("udp host", ("udp:LocalHost:514", "udp:localhost:514")))
+      for command, prepare, argv in (
+          ("simulate", None, lambda ws: _simulate(ws, "change.scn")),
+          ("monitor", _baseline, lambda ws: ["monitor", "--epochs", "1"] + common(ws)))),
     # an empty path: every line would fail into sink.reports
     ("simulate", "file sink with no path", None,
      lambda ws: _simulate(ws, "change.scn", "--sink", "file:"), 2),
@@ -511,6 +529,36 @@ class TestSinkWiring:
         assert run(_simulate(ws, "change.scn", "--sink", sink, "--sink", sink)) == (2, "")
         assert capsys.readouterr().err == f"error: sink given more than once: {sink}\n"
         assert not log.exists()
+
+
+    @pytest.mark.parametrize("first, second", [
+        ("file:{ws}/dup.log", "file:{ws}/./dup.log"),
+        ("file:{ws}/dup.log", "file:{ws}/logs/../dup.log"),
+        ("udp:127.0.0.1:514", "udp:127.0.0.1:00514"),
+        ("udp:LocalHost:514", "udp:localhost:514"),
+    ])
+    def test_one_target_in_two_spellings_is_refused(self, ws, capsys, first, second):
+        first, second = first.format(ws=ws), second.format(ws=ws)
+        (ws / "logs").mkdir()
+        before = sorted(ws.rglob("*"))
+        assert run(_simulate(ws, "change.scn", "--sink", first, "--sink", second)) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: sink {second!r} names the same target as {first!r}\n")
+        assert sorted(ws.rglob("*")) == before
+
+    @pytest.mark.parametrize("logger", ["[::1]:514", "::1:514"])
+    def test_env_logger_on_an_ipv6_host_is_refused(self, ws, capsys, monkeypatch, logger):
+        monkeypatch.setenv(cli.LOGGER_ENV, logger)
+        assert run(_simulate(ws, "change.scn")) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: sink 'udp:{logger}' names an IPv6 host; UDP sinks send over IPv4 only\n")
+
+    # out of range, or a short form the C library reads as some other address
+    @pytest.mark.parametrize("host", ["10.0.0.300", "127.1", "127.0.1"])
+    def test_a_udp_host_of_digits_and_dots_must_be_an_ipv4_address(self, ws, capsys, host):
+        assert run(_simulate(ws, "change.scn", "--sink", f"udp:{host}:514")) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: sink 'udp:{host}:514': {host} is not an IPv4 address\n")
 
 
 UNPRINTABLE_NODE_IDS = ["edge\nkind=HostRemoved", "a\rb", "a\tb", "a\u2028b", "a\x00b", ""]

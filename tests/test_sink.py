@@ -9,8 +9,8 @@ from edgemap.model import EventKind, IntrusionEvent
 from oracles import reference_intrusion_line
 from edgemap.sink import (DeliveryReport, EventSink, FileOutput,
                           StdoutOutput, UdpOutput, format_intrusion,
-                          format_line, format_operational, parse_line,
-                          _fit_udp)
+                          format_line, format_operational, open_sink,
+                          parse_line, _fit_udp)
 
 A = ipaddress.IPv4Address
 
@@ -97,14 +97,14 @@ class TestOutputs:
 
     def test_file_output_appends(self, tmp_path):
         path = tmp_path / "events.log"
-        out = FileOutput(path)
+        out = FileOutput(f"file:{path}")
         out.write_line("a=1")
         out.write_line("b=2")
         assert path.read_text() == "a=1\nb=2\n"
 
     def test_file_output_follows_a_rotated_log(self, tmp_path):
         path = tmp_path / "events.log"
-        out = FileOutput(path)
+        out = FileOutput(f"file:{path}")
         out.write_line("a=1")
         path.rename(tmp_path / "events.log.1")
         out.write_line("b=2")
@@ -116,9 +116,20 @@ class TestOutputs:
             recv.bind(("127.0.0.1", 0))
             recv.settimeout(2.0)
             port = recv.getsockname()[1]
-            UdpOutput("127.0.0.1", port).write_line("kind=HostAdded addr=10.0.0.5")
+            UdpOutput(f"udp:127.0.0.1:{port}").write_line("kind=HostAdded addr=10.0.0.5")
             data, _ = recv.recvfrom(2048)
         assert data == b"kind=HostAdded addr=10.0.0.5"
+
+    def test_udp_host_name_is_kept_unresolved(self, monkeypatch):
+        # a node's DNS may come up after the node: the name is taken as given
+        def no_lookup(*args):
+            raise AssertionError("host name resolved")
+
+        for name in ("getaddrinfo", "gethostbyname", "gethostbyname_ex"):
+            monkeypatch.setattr(socket, name, no_lookup)
+        (output,) = open_sink(["udp:Logger.Example:514"], "n").outputs
+        assert output.address == ("Logger.Example", 514)
+        assert output.name == "udp:Logger.Example:514"
 
     LONG_LINES = (
         "node=n kind=BannerChanged observed=" + "x" * 2000,

@@ -12,6 +12,7 @@ import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -24,13 +25,16 @@ from edgemap.timebase import VirtualClock
 SEC = 1_000_000
 MS = 1_000
 BANNER = b"BANNER-7 test service\r\n"
+# one banner in two TCP segments, 50 ms apart
+SPLIT_BANNER = (b"SSH-2.0-", b"OpenSSH_9.6\r\n")
 
 
 class LoopbackServer:
-    """Minimal TCP listener that pushes a banner to every client."""
+    """Minimal TCP listener that pushes a banner to every client, in
+    `parts` sent 50 ms apart, and then closes the connection."""
 
-    def __init__(self, banner):
-        self.banner = banner
+    def __init__(self, *parts):
+        self.parts = parts
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.bind(("127.0.0.1", 0))
         self.sock.listen(8)
@@ -50,8 +54,11 @@ class LoopbackServer:
                 return
             with conn:
                 try:
-                    if self.banner:
-                        conn.sendall(self.banner)
+                    for index, part in enumerate(self.parts):
+                        if index:
+                            time.sleep(0.05)
+                        if part:
+                            conn.sendall(part)
                 except OSError:
                     pass
 
@@ -69,10 +76,11 @@ def free_port():
 
 class Harness:
     def __init__(self, transport, addr, banner_port, plain_port, closed_port,
-                 dead_addr=None, cleanup=()):
+                 split_banner_port, dead_addr=None, cleanup=()):
         self.transport = transport
         self.addr = addr
         self.banner_port = banner_port
+        self.split_banner_port = split_banner_port
         self.plain_port = plain_port
         self.closed_port = closed_port
         self.dead_addr = dead_addr
@@ -88,16 +96,18 @@ def harness(request):
     if request.param == "sim":
         addr = ipaddress.IPv4Address("10.0.0.1")
         spec = SimHostSpec(address=addr, base_rtt=300,
-                           open_ports={22: BANNER, 80: None})
+                           open_ports={22: BANNER, 80: None, 2222: b"".join(SPLIT_BANNER)})
         h = Harness(SimNetwork([spec]), addr, banner_port=22, plain_port=80,
-                    closed_port=81, dead_addr=ipaddress.IPv4Address("10.0.0.99"))
+                    closed_port=81, split_banner_port=2222,
+                    dead_addr=ipaddress.IPv4Address("10.0.0.99"))
     else:
         banner_srv = LoopbackServer(BANNER)
         plain_srv = LoopbackServer(b"")
+        split_srv = LoopbackServer(*SPLIT_BANNER)
         h = Harness(OsNetwork(), ipaddress.IPv4Address("127.0.0.1"),
                     banner_port=banner_srv.port, plain_port=plain_srv.port,
-                    closed_port=free_port(),
-                    cleanup=(banner_srv.close, plain_srv.close))
+                    closed_port=free_port(), split_banner_port=split_srv.port,
+                    cleanup=(banner_srv.close, plain_srv.close, split_srv.close))
     yield h
     h.close()
 
@@ -121,6 +131,15 @@ class TestContract:
             harness.addr, harness.banner_port, 2 * SEC, banner_max=5)
         assert probe.state is PortState.OPEN
         assert probe.banner == BANNER[:5]
+
+    def test_a_banner_in_two_segments_is_read_whole(self, harness):
+        transport = harness.transport
+        probe = transport.tcp_connect(harness.addr, harness.split_banner_port, SEC)
+        assert probe.state is PortState.OPEN
+        assert probe.banner == b"".join(SPLIT_BANNER)
+        # one banner_data entry for the whole banner, as one sweep counts it
+        assert transport.counters.counts["banner_data"] == 1
+        assert transport.counters.bytes["banner_data"] == len(probe.banner) + 66
 
     def test_banner_grab_disabled(self, harness):
         probe = harness.transport.tcp_connect(
@@ -240,6 +259,90 @@ class TestOsErrors:
         net = self.network(monkeypatch, error)
         assert not net.icmp_ping(self.TARGET, SEC).replied
         assert net.tcp_connect(self.TARGET, 502, SEC).state is PortState.FILTERED
+
+
+class ScriptedTcpSocket:
+    """Stands in for a TCP socket: connect raises `connect_error` if one is
+    given, and each recv takes the next scripted (delay, data) step, moving
+    the fake clock on by the delay, or times out when the delay is past the
+    socket's timeout.  Records the timeouts set and whether it was closed."""
+
+    def __init__(self, clock, steps=(), connect_error=None):
+        self.clock, self.steps, self.connect_error = clock, list(steps), connect_error
+        self.timeouts, self.closed = [], False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        self.closed = True
+
+    def settimeout(self, seconds):
+        self.timeouts.append(seconds)
+
+    def setsockopt(self, *args):
+        pass
+
+    def connect(self, address):
+        if self.connect_error is not None:
+            raise self.connect_error
+
+    def recv(self, size):
+        delay, data = self.steps.pop(0)
+        if delay > self.timeouts[-1] * SEC:
+            self.clock.sleep(round(self.timeouts[-1] * SEC))
+            raise socket.timeout("timed out")
+        self.clock.sleep(delay)
+        return data[:size]
+
+
+class Killed(BaseException):
+    """Lands in a probe the way a Ctrl-C does: no `except Exception` stops it."""
+
+
+class TestTcpSocket:
+    """The OS backend reads a banner within its window, and always closes its socket."""
+
+    TARGET = ipaddress.IPv4Address("192.0.2.1")
+
+    def network(self, monkeypatch, steps=(), connect_error=None):
+        net = OsNetwork()
+        net.clock = VirtualClock()
+        sock = ScriptedTcpSocket(net.clock, steps, connect_error)
+        monkeypatch.setattr("edgemap.osnet.socket.socket", lambda *args: sock)
+        return net, sock
+
+    def test_the_banner_read_ends_when_its_window_closes(self, monkeypatch):
+        steps = [(100 * MS, b"SSH-"), (300 * MS, b"2.0-"), (200 * MS, b"late")]
+        net, sock = self.network(monkeypatch, steps)
+        assert net.tcp_connect(self.TARGET, 22, SEC).banner == b"SSH-2.0-"
+        # the connect, then each wait only for what is left of the 500 ms window
+        assert sock.timeouts == [1.0, 0.5, 0.4, 0.1]
+        assert net.clock.now() == 500 * MS
+        assert net.counters.counts["banner_data"] == 1
+        assert sock.closed
+
+    @pytest.mark.parametrize("steps, banner_max, banner", [
+        ([(10 * MS, b"abc"), (10 * MS, b"defgh")], 5, b"abcde"),
+        ([(10 * MS, b"abc"), (10 * MS, b"")], 128, b"abc"),
+        ([(600 * MS, b"late")], 128, None),
+    ], ids=["banner-max", "end-of-stream", "silent"])
+    def test_the_banner_read_ends_at_banner_max_or_end_of_stream(
+            self, monkeypatch, steps, banner_max, banner):
+        net, sock = self.network(monkeypatch, steps)
+        probe = net.tcp_connect(self.TARGET, 22, SEC, banner_max=banner_max)
+        assert probe.state is PortState.OPEN and probe.banner == banner
+        assert sock.steps == [] and sock.closed
+        assert net.counters.counts["banner_data"] == (banner is not None)
+
+    def test_a_base_exception_in_connect_still_closes_the_socket(self, monkeypatch):
+        net, sock = self.network(monkeypatch, connect_error=Killed())
+        with pytest.raises(Killed):
+            net.tcp_connect(self.TARGET, 22, SEC)
+        assert sock.closed
 
 
 IP_HEADER = bytes([0x45, 0, 0, 48, 0, 0, 0, 0, 64, 1, 0, 0, 192, 0, 2, 1, 192, 0, 2, 9])
